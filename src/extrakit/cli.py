@@ -14,7 +14,6 @@ import argparse
 import io
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
@@ -31,13 +30,11 @@ from .errors import (
     FeasibilityError,
     FormatError,
     NoGoodNeighborError,
-    Verdict,
 )
 from .graph import (
     DEFAULT_SUBSET_BUDGET,
     BipartiteGraph,
     ExtractorSpec,
-    extractor_scan_range,
     prefix_graph,
     read_graph,
     verify_disperser,
@@ -219,30 +216,6 @@ def _fmt_set(ids) -> str:
     return "{" + ",".join(str(i) for i in ids) + "}"
 
 
-def _parallel_extractor_verdict(G, K, eps, max_subsets, threads):
-    """Chunked scan over right events; identical verdict to the library call."""
-    if 1 << G.M > max_subsets:
-        raise BudgetExceededError(
-            f"2^{G.M} right subsets exceed budget {max_subsets}"
-        )
-    if K > G.N:
-        raise DimensionError(f"K={K} exceeds left size N={G.N}")
-    total = 1 << G.M
-    bounds = [1 + (total - 1) * i // threads for i in range(threads + 1)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        hits = list(
-            pool.map(
-                lambda r: extractor_scan_range(G, K, eps, r[0], r[1]),
-                zip(bounds, bounds[1:]),
-            )
-        )
-    hits = [h for h in hits if h is not None]
-    if hits:
-        _, cols, top = min(hits)
-        return Verdict(False, witness=(cols, top))
-    return Verdict(True, note=f"checked all 2^{G.M} right events")
-
-
 def _cmd_verify_graph(args) -> int:
     G = parse_formats(args.graph, "graph")
     out = sys.stdout
@@ -250,12 +223,7 @@ def _cmd_verify_graph(args) -> int:
           k=args.k, eps=args.eps, max_subsets=args.max_subsets,
           threads=args.threads)
     if args.kind == "extractor":
-        if args.threads > 1:
-            verdict = _parallel_extractor_verdict(
-                G, args.k, args.eps, args.max_subsets, args.threads
-            )
-        else:
-            verdict = verify_extractor(G, args.k, args.eps, args.max_subsets)
+        verdict = verify_extractor(G, args.k, args.eps, args.max_subsets)
         if not verdict:
             B, A = verdict.witness
             out.write(f"verdict=fail\nwitness B={_fmt_set(B)} A={_fmt_set(A)}\n")
@@ -556,7 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
                         " source bits k (K=2^k) for prefix")
     p.add_argument("--eps", type=parse_eps, required=True)
     p.add_argument("--max-subsets", type=int, default=DEFAULT_SUBSET_BUDGET)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility and echoed in the header;"
+                        " no effect on the work or the output")
     p.set_defaults(fn=_cmd_verify_graph)
 
     p = sub.add_parser("gen-design", help="greedy weak design")

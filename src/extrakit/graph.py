@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Sequence, TextIO, Union
 
 import numpy as np
@@ -45,6 +45,17 @@ __all__ = [
 
 #: Default ceiling on the number of subsets a verifier may enumerate.
 DEFAULT_SUBSET_BUDGET = 1 << 20
+
+#: Right events in the first block of :func:`extractor_scan_range`.  Blocks
+#: double up to 2^_LOW_BITS rows, so a failure among the first events stays
+#: cheap while a full scan pays numpy's per-call cost once per block.
+_FIRST_BLOCK = 32
+_LOW_BITS = 7
+#: Subsets per batch in the left-set and right-set scans is
+#: ``max(_MIN_BATCH, _BATCH_CELLS // width)``: each batch's int64 arrays
+#: stay far below a megabyte whatever the graph's width.
+_MIN_BATCH = 64
+_BATCH_CELLS = 4096
 
 
 class BipartiteGraph:
@@ -218,6 +229,18 @@ def prefix_graph(G: BipartiteGraph, drop: int) -> BipartiteGraph:
 # verifiers
 
 
+def _combination_chunks(n: int, k: int, rows: int):
+    """The k-subsets of range(n) in lexicographic order, as int64 arrays of
+    at most ``rows`` rows and k columns."""
+    combos = combinations(range(n), k)
+    left = math.comb(n, k)
+    while left:
+        r = min(rows, left)
+        flat = np.fromiter(chain.from_iterable(islice(combos, r)), dtype=np.int64, count=r * k)
+        yield flat.reshape(r, k)
+        left -= r
+
+
 def verify_disperser(
     G: BipartiteGraph,
     K: int,
@@ -231,6 +254,11 @@ def verify_disperser(
     K-subset A of the left side having |Γ(A)| >= (1-eps)M.  On failure the
     witness is ``(A, Y)`` with A the K smallest-index avoiding vertices and
     Y the first failing set in lexicographic order.
+
+    For M <= 62 the sets Y are taken in lexicographic batches of
+    ``max(64, 4096 // N)``: each Y becomes an int64 bitmask and one
+    ``(masks & ymask) == 0`` over the batch counts its avoiders.  Wider
+    graphs test one Y at a time on Python-int neighbor masks.
     """
     eps = as_fraction(eps)
     if K > G.N:
@@ -243,6 +271,18 @@ def verify_disperser(
             f"C({G.M},{L}) = {math.comb(G.M, L)} subsets exceed budget {max_subsets}"
         )
     masks = G.neighbor_masks
+    if G.M <= 62:
+        marr = np.array(masks, dtype=np.int64)
+        rows = max(_MIN_BATCH, _BATCH_CELLS // max(G.N, 1))
+        for Ys in _combination_chunks(G.M, L, rows):
+            ymask = np.bitwise_or.reduce(np.left_shift(1, Ys), axis=1)
+            avoid = (marr & ymask[:, None]) == 0
+            hits = np.flatnonzero(avoid.sum(axis=1) >= K)
+            if hits.size:
+                r = hits[0]
+                A = np.flatnonzero(avoid[r])[:K]
+                return Verdict(False, witness=(tuple(A.tolist()), tuple(Ys[r].tolist())))
+        return Verdict(True, note=f"checked all C({G.M},{L}) right sets")
     for Y in combinations(range(G.M), L):
         ymask = 0
         for z in Y:
@@ -256,29 +296,68 @@ def verify_disperser(
 def extractor_scan_range(G: BipartiteGraph, K: int, eps, lo: int, hi: int):
     """Least failing right-event bitmask in [lo, hi), or None if all pass.
 
-    The shared inner loop of :func:`verify_extractor`; callers may split
-    the bitmask space into ranges (e.g. across threads) and take the
-    minimum failing bitmask over ranges — the result is identical to a
-    single full scan.  Returns ``(bmask, B_indices, top_K_lefts)``.
+    The scan behind :func:`verify_extractor`.  Scanning consecutive ranges
+    and taking the least hit gives the same result as one scan over their
+    union.  Returns ``(bmask, B_indices, top_K_lefts)``.
+
+    Events are tested in blocks of consecutive bitmasks, 32 rows at first
+    and doubling to 128; a block never crosses a multiple of 128, so its
+    bitmasks share every bit above the low seven.  The block's int64 counts
+    ``C[r, x] = E(x, B_r)``, i.e. ``bits @ hist.T`` for its 0/1 event matrix
+    ``bits``, are a slice of a table of ``hist`` column sums over all 128
+    low-bit patterns plus the column sum over the shared high bits: integer
+    adds only.  The exact test of :func:`verify_extractor` runs on every
+    row at once, first with K times the row's largest count, an upper bound
+    on its top-K sum; the rows that bound does not clear get their top-K
+    sum from ``np.partition`` and the exact test itself.  When
+    ``K*D*M*(|p|+q)`` reaches 2^63 the sides of that test could overflow
+    int64, so the call compares Python ints instead.  The top-K lefts of a
+    failing event are ordered by ``(-count, index)``.
     """
     eps = as_fraction(eps)
     p, q = eps.numerator, eps.denominator
+    N, M, D = G.N, G.M, G.D
+    lo = max(lo, 1)  # the empty event never fails
+    if lo >= hi:
+        return None
     H = G.hist
-    M, D = G.M, G.D
-    rhs_const = K * D
-    for bmask in range(lo, hi):
-        cols = [z for z in range(M) if bmask >> z & 1]
-        sB = len(cols)
-        if sB == 0:
-            continue
-        c = H[:, cols].sum(axis=1)
-        if K < G.N:
-            topsum = int(np.partition(c, G.N - K)[G.N - K :].sum())
-        else:
-            topsum = int(c.sum())
-        if topsum * M * q >= rhs_const * (sB * q + p * M):
-            order = sorted(range(G.N), key=lambda x: (-int(c[x]), x))
-            return bmask, tuple(cols), tuple(order[:K])
+    width = min(M, (hi - 1).bit_length())
+    low = min(width, _LOW_BITS)
+    # row r of the tables: counts and size of the event with low bits r
+    table = np.zeros((1 << low, N), dtype=np.int64)
+    sizes = np.zeros(1 << low, dtype=np.int64)
+    for z in range(low):
+        table[1 << z : 2 << z] = table[: 1 << z] + H[:, z]
+        sizes[1 << z : 2 << z] = sizes[: 1 << z] + 1
+    exact = K * D * M * (abs(p) + q) >= 1 << 63
+    start, size = lo, _FIRST_BLOCK
+    while start < hi:
+        base = start >> low << low
+        stop = min(start + size, base + (1 << low), hi)
+        high = [z for z in range(low, width) if base >> z & 1]
+        C = table[start - base : stop - base] + H[:, high].sum(axis=1)
+        sB = sizes[start - base : stop - base] + len(high)
+        peak = C.max(axis=1, initial=0)
+        if exact:
+            sB, peak = sB.astype(object), peak.astype(object)
+        rhs = K * D * (sB * q + p * M)
+        # K*peak bounds the top-K sum: only rows it lets reach rhs can fail
+        rows = np.flatnonzero(np.asarray(K * peak * (M * q) >= rhs, dtype=bool))
+        if rows.size:
+            Cr = C[rows]
+            if K < N:
+                top = np.partition(Cr, N - K, axis=1)[:, N - K :].sum(axis=1)
+            else:
+                top = Cr.sum(axis=1)
+            if exact:
+                top = top.astype(object)
+            fail = np.asarray(top * (M * q) >= rhs[rows], dtype=bool)
+            if fail.any():
+                r = int(rows[fail.argmax()])
+                bmask = start + r
+                order = np.argsort(-C[r], kind="stable")[:K]
+                return bmask, tuple(z for z in range(M) if bmask >> z & 1), tuple(order.tolist())
+        start, size = stop, min(2 * size, 1 << low)
     return None
 
 
@@ -299,6 +378,10 @@ def verify_extractor(
 
     On failure the witness is ``(B, A)``: B the least failing subset in
     indicator-bitmask order, A the top-K lefts for that B (ties by index).
+
+    The events are scanned by :func:`extractor_scan_range` in blocks of at
+    most 128 consecutive bitmasks, so a block's counts take 128*N int64s;
+    the first failing row of the first failing block is the witness.
     """
     if K > G.N:
         raise DimensionError(f"K={K} exceeds left size N={G.N}")
@@ -354,6 +437,11 @@ def worst_flat_distance(
     each right vertex z; the value returned is the statistical distance to
     uniform over [M], as an exact Fraction.  Ties resolve to the first set
     in lexicographic order.
+
+    Sets are taken in lexicographic batches of ``max(64, 4096 // M)``.  A
+    batch sums its sets' K rows of ``hist`` in place into one int64 array
+    and compares the integer numerators ``sum_z |M*E_z - K*D|``, which
+    share the denominator ``2*M*K*D``; only the winner becomes a Fraction.
     """
     if K > G.N:
         raise DimensionError(f"K={K} exceeds left size N={G.N}")
@@ -362,17 +450,21 @@ def worst_flat_distance(
             f"C({G.N},{K}) = {math.comb(G.N, K)} subsets exceed budget {max_subsets}"
         )
     H = G.hist
-    KD = K * G.D
+    M, KD = G.M, K * G.D
     best: tuple[int, ...] = ()
-    best_val = Fraction(-1)
-    for A in combinations(range(G.N), K):
-        counts = H[list(A)].sum(axis=0)
+    best_num = -1
+    for As in _combination_chunks(G.N, K, max(_MIN_BATCH, _BATCH_CELLS // M)):
+        E = np.zeros((len(As), M), dtype=np.int64)
+        for j in range(K):
+            E += H[As[:, j]]
         # sum_z |E/KD - 1/M| / 2, cleared to integers: sum_z |M*E_z - KD| / (2*M*KD)
-        num = int(np.abs(counts * G.M - KD).sum())
-        val = Fraction(num, 2 * G.M * KD)
-        if val > best_val:
-            best, best_val = A, val
-    return best, best_val
+        E *= M
+        E -= KD
+        num = np.abs(E, out=E).sum(axis=1)
+        r = int(num.argmax())
+        if num[r] > best_num:
+            best, best_num = tuple(As[r].tolist()), int(num[r])
+    return best, Fraction(best_num, 2 * M * KD)
 
 
 # ---------------------------------------------------------------------------

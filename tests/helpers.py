@@ -59,6 +59,46 @@ def naive_disperser_ok(G: BipartiteGraph, K: int, eps: Fraction) -> bool:
     return True
 
 
+def scan_range_oracle(G: BipartiteGraph, K: int, eps: Fraction, lo: int, hi: int):
+    """One right event at a time: the least failing bitmask in [lo, hi) as
+    ``(bmask, B, top-K lefts ordered by (-count, index))``, or None."""
+    rows = adjacency_lists(G)
+    p, q = eps.numerator, eps.denominator
+    for bmask in range(max(lo, 1), hi):
+        cols = [z for z in range(G.M) if bmask >> z & 1]
+        c = [sum(1 for z in row if bmask >> z & 1) for row in rows]
+        order = sorted(range(G.N), key=lambda x: (-c[x], x))
+        top = sum(c[x] for x in order[:K])
+        if top * G.M * q >= K * G.D * (len(cols) * q + p * G.M):
+            return bmask, tuple(cols), tuple(order[:K])
+    return None
+
+
+def worst_flat_oracle(G: BipartiteGraph, K: int) -> tuple[tuple[int, ...], Fraction]:
+    """One Fraction per flat size-K source; the first maximum in
+    lexicographic order wins."""
+    rows = adjacency_lists(G)
+    best, best_val = (), Fraction(-1)
+    for A in combinations(range(G.N), K):
+        val = naive_flat_distance(rows, A, G.M)
+        if val > best_val:
+            best, best_val = A, val
+    return best, best_val
+
+
+def disperser_witness_oracle(G: BipartiteGraph, K: int, eps: Fraction):
+    """First right set Y (lexicographic) of size ceil(eps*M) avoided by K
+    lefts, as ``(K smallest-index avoiders, Y)``; None if there is none."""
+    num, den = (eps * G.M).numerator, (eps * G.M).denominator
+    L = -(-num // den)
+    rows = adjacency_lists(G)
+    for Y in combinations(range(G.M), L):
+        avoiding = [x for x in range(G.N) if not set(Y).intersection(rows[x])]
+        if len(avoiding) >= K:
+            return tuple(avoiding[:K]), Y
+    return None
+
+
 def random_graph(rng: np.random.Generator, N: int, M: int, D: int) -> BipartiteGraph:
     return BipartiteGraph(N, M, D, rng.integers(0, M, size=(N, D)))
 

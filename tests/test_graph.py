@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extrakit import (
     BipartiteGraph,
@@ -25,10 +26,13 @@ from extrakit.errors import BudgetExceededError, DimensionError, FormatError
 
 from helpers import (
     adjacency_lists,
+    disperser_witness_oracle,
     naive_disperser_ok,
     naive_extractor_ok,
     naive_flat_distance,
     random_graph,
+    scan_range_oracle,
+    worst_flat_oracle,
 )
 
 
@@ -40,6 +44,25 @@ def passthrough(n):
 
 def constant_graph(N, M, D):
     return BipartiteGraph(N, M, D, np.zeros((N, D), dtype=np.int64))
+
+
+@st.composite
+def graphs(draw, max_N, max_M, max_D=4):
+    """Small multigraphs; a narrow range of right endpoints makes
+    repeated edges common."""
+    N = draw(st.integers(1, max_N))
+    M = draw(st.integers(1, max_M))
+    D = draw(st.integers(1, max_D))
+    top = draw(st.integers(0, M - 1))
+    row = st.lists(st.integers(0, top), min_size=D, max_size=D)
+    return BipartiteGraph(N, M, D, draw(st.lists(row, min_size=N, max_size=N)))
+
+
+def source_sizes(N):
+    return st.one_of(st.just(1), st.just(N), st.integers(1, N))
+
+
+error_bounds = st.fractions(Fraction(1, 64), Fraction(63, 64), max_denominator=64)
 
 
 class TestBipartiteGraph:
@@ -156,6 +179,45 @@ class TestVerifyExtractor:
             assert (min(pieces) if pieces else None) == full
 
 
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_block_scan_matches_per_event_oracle(self, data):
+        # M up to 9 spans several blocks (rows 1-32, 33-96, 97-224, ...),
+        # and a random [lo, hi) starts and ends inside them.
+        G = data.draw(graphs(max_N=8, max_M=9))
+        K = data.draw(source_sizes(G.N))
+        eps = data.draw(error_bounds)
+        lo = data.draw(st.integers(0, 1 << G.M))
+        hi = data.draw(st.integers(lo, 1 << G.M))
+        assert extractor_scan_range(G, K, eps, lo, hi) == scan_range_oracle(G, K, eps, lo, hi)
+        hit = scan_range_oracle(G, K, eps, 1, 1 << G.M)
+        verdict = verify_extractor(G, K, eps)
+        assert verdict.ok == (hit is None)
+        assert verdict.witness == (hit[1:] if hit else None)
+
+    def test_late_failure_in_a_full_block(self):
+        # At eps = 13/16 only B = {7}, which takes both of left 0's edges,
+        # fails: the least failing bitmask is 128, inside the third block.
+        G = BipartiteGraph(4, 8, 2, [[7, 7], [0, 1], [2, 3], [4, 5]])
+        eps = Fraction(13, 16)
+        assert extractor_scan_range(G, 1, eps, 1, 256) == scan_range_oracle(G, 1, eps, 1, 256)
+        assert extractor_scan_range(G, 1, eps, 1, 256)[0] == 128
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 2**61), Fraction(2**61 - 1, 2**61)])
+    def test_huge_denominator_compares_without_wraparound(self, eps):
+        # K*D*M*(p+q) >= 2^63 here, past what int64 products can hold.
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            G = random_graph(rng, 6, 4, 3)
+            for K in (1, 3, 6):
+                verdict = verify_extractor(G, K, eps)
+                hit = scan_range_oracle(G, K, eps, 1, 1 << G.M)
+                assert verdict.ok == (hit is None) == naive_extractor_ok(G, K, eps)
+                assert verdict.witness == (hit[1:] if hit else None)
+                if eps > Fraction(1, 2):
+                    assert verdict.ok
+
+
 class TestVerifyDisperser:
     def test_passthrough_passes(self):
         assert verify_disperser(passthrough(2), 2, Fraction(1, 4))
@@ -191,6 +253,37 @@ class TestVerifyDisperser:
                 seen += 1
                 assert verify_disperser(G, 2, eps)
         assert seen > 0
+
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_batched_scan_matches_oracles(self, data):
+        G = data.draw(graphs(max_N=8, max_M=8))
+        K = data.draw(source_sizes(G.N))
+        eps = data.draw(error_bounds)
+        verdict = verify_disperser(G, K, eps)
+        assert verdict.ok == naive_disperser_ok(G, K, eps)
+        assert verdict.witness == disperser_witness_oracle(G, K, eps)
+
+    def test_witness_in_a_late_batch(self):
+        # Lefts 5, 20, 40 reach only 0..11; the rest reach all of 0..15.
+        # The only avoided 4-set is {12,...,15}, the last of C(16,4) = 1820
+        # sets, so the scan crosses every 64-set batch before it.
+        adj = np.tile(np.arange(16), (64, 1))
+        adj[[5, 20, 40]] = np.arange(16) % 12
+        G = BipartiteGraph(64, 16, 16, adj)
+        verdict = verify_disperser(G, 3, Fraction(1, 4))
+        assert verdict.witness == ((5, 20, 40), (12, 13, 14, 15))
+        assert verdict.witness == disperser_witness_oracle(G, 3, Fraction(1, 4))
+        assert verify_disperser(G, 4, Fraction(1, 4))
+
+    def test_wide_right_side_matches_oracle(self):
+        # M > 62 right vertices do not fit an int64 mask.
+        rng = np.random.default_rng(29)
+        for K in (1, 2, 5):
+            G = random_graph(rng, 5, 70, 30)
+            verdict = verify_disperser(G, K, Fraction(1, 35))
+            assert verdict.witness == disperser_witness_oracle(G, K, Fraction(1, 35))
 
 
 class TestVerifyPrefix:
@@ -240,6 +333,24 @@ class TestWorstFlatDistance:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             worst_flat_distance(constant_graph(16, 2, 1), 8, max_subsets=100)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_batched_scan_matches_per_subset_oracle(self, data):
+        G = data.draw(graphs(max_N=8, max_M=5))
+        K = data.draw(source_sizes(G.N))
+        assert worst_flat_distance(G, K) == worst_flat_oracle(G, K)
+
+    def test_ties_across_batches_keep_first_maximum(self):
+        # With M = 64 a batch holds 64 sets; C(10,5) = 252 spans four.
+        # Left 9 copies left 0, so sets swapping 0 for 9 tie.
+        rng = np.random.default_rng(31)
+        adj = rng.integers(0, 64, size=(10, 3))
+        adj[9] = adj[0]
+        G = BipartiteGraph(10, 64, 3, adj)
+        assert worst_flat_distance(G, 5) == worst_flat_oracle(G, 5)
+        A, val = worst_flat_distance(constant_graph(10, 64, 2), 5)
+        assert A == (0, 1, 2, 3, 4) and val == Fraction(63, 64)
 
 
 class TestGraphFile:
