@@ -258,6 +258,92 @@ def test_existence_trial_exit_one_when_nothing_passes(capsys):
 
 
 # ---------------------------------------------------------------------------
+# pinned transcripts: literal stdout, stderr and exit code
+
+
+EXISTENCE_TRANSCRIPTS = {
+    "extractor": (
+        ("--N", "16", "--M", "8", "--k", "2", "--eps", "1/5", "--trials", "4",
+         "--seed", "1"),
+        "# subcommand=existence-trial kind=extractor N=16 M=8 K=2 eps=1/5 D=77"
+        " trials=4 seed=1 max_subsets=1048576\n"
+        "trial=0 seed=1:0 verdict=pass\n"
+        "trial=1 seed=1:1 verdict=fail witness=((2, 3, 4, 6), (5, 11))\n"
+        "trial=2 seed=1:2 verdict=pass\n"
+        "trial=3 seed=1:3 verdict=pass\n"
+        "pass_fraction=3/4\n",
+    ),
+    "disperser": (
+        ("--N", "32", "--M", "4", "--k", "2", "--eps", "1/4", "--trials", "3",
+         "--seed", "0"),
+        "# subcommand=existence-trial kind=disperser N=32 M=4 K=2 eps=1/4 D=20"
+        " trials=3 seed=0 max_subsets=1048576\n"
+        "trial=0 seed=0:0 verdict=pass\n"
+        "trial=1 seed=0:1 verdict=pass\n"
+        "trial=2 seed=0:2 verdict=fail witness=((27, 30), (0,))\n"
+        "pass_fraction=2/3\n",
+    ),
+    "prefix": (
+        ("--N", "4", "--M", "8", "--k", "2", "--eps", "5/16", "--trials", "6",
+         "--seed", "0"),
+        "# subcommand=existence-trial kind=prefix N=4 M=8 K=2 eps=5/16 D=32"
+        " trials=6 seed=0 max_subsets=1048576\n"
+        "trial=0 seed=0:0 verdict=pass\n"
+        "trial=1 seed=0:1 verdict=pass\n"
+        "trial=2 seed=0:2 verdict=pass\n"
+        "trial=3 seed=0:3 verdict=pass\n"
+        "trial=4 seed=0:4 verdict=pass\n"
+        "trial=5 seed=0:5 verdict=fail witness=(1, ((1, 3), (3,)))\n"
+        "pass_fraction=5/6\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXISTENCE_TRANSCRIPTS))
+def test_existence_trial_transcript(capsys, kind):
+    argv, want = EXISTENCE_TRANSCRIPTS[kind]
+    assert run(capsys, "existence-trial", "--kind", kind, *argv) == (0, want, "")
+
+
+def test_verify_prefix_transcripts(capsys, tmp_path):
+    ok = graph_file(tmp_path, pass_through_graph(8, 8), "ok.txt")
+    assert run(capsys, "verify-graph", "--kind", "prefix", "--graph", ok,
+               "--k", "2", "--eps", "1/4") == (
+        0,
+        "# subcommand=verify-graph kind=prefix N=8 M=8 D=8 k=2 eps=1/4"
+        " max_subsets=1048576 threads=1\n"
+        "verdict=pass\n",
+        "",
+    )
+    fail = graph_file(tmp_path, zero_graph(8, 8, 2), "fail.txt")
+    assert run(capsys, "verify-graph", "--kind", "prefix", "--graph", fail,
+               "--k", "1", "--eps", "1/4") == (
+        1,
+        "# subcommand=verify-graph kind=prefix N=8 M=8 D=2 k=1 eps=1/4"
+        " max_subsets=1048576 threads=1\n"
+        "verdict=fail\n"
+        "witness drop=0 B={0} A={0,1}\n",
+        "",
+    )
+
+
+@pytest.mark.parametrize("dims, err", [
+    ((3, 4, 2), "error: graph (3,4,2) does not match spec (4,4,2)\n"),
+    ((4, 4, 3), "error: graph (4,4,3) does not match spec (4,4,4)\n"),
+])
+def test_verify_prefix_non_power_of_two_transcript(capsys, tmp_path, dims, err):
+    N, M, D = dims
+    path = graph_file(tmp_path, zero_graph(N, M, D))
+    assert run(capsys, "verify-graph", "--kind", "prefix", "--graph", path,
+               "--k", "1", "--eps", "1/4") == (
+        2,
+        f"# subcommand=verify-graph kind=prefix N={N} M={M} D={D} k=1 eps=1/4"
+        " max_subsets=1048576 threads=1\n",
+        err,
+    )
+
+
+# ---------------------------------------------------------------------------
 # compose-demo
 
 
