@@ -52,7 +52,7 @@ from .muchnik import (
     iterative_chain,
     neighbor_rank,
 )
-from .randgraph import KINDS, ExistenceParams, degree_bound, sample_graph
+from .randgraph import KINDS, ExistenceParams, degree_bound, existence_trial, sample_graph
 from .trevisan import trevisan_build, trevisan_eval
 from .compose import Merger, merger_compose
 from .hashext import hash_extractor_map
@@ -235,10 +235,7 @@ def _cmd_verify_graph(args) -> int:
             out.write(f"verdict=fail\nwitness A={_fmt_set(A)} Y={_fmt_set(Y)}\n")
             return 1
     else:  # prefix: --k counts source bits, K = 2^k per kept-prefix level
-        n = (G.N - 1).bit_length()
-        d = (G.D - 1).bit_length() if G.D > 1 else 0
-        m = (G.M - 1).bit_length()
-        spec = ExtractorSpec(n=n, d=d, m=m, k=args.k, eps=args.eps)
+        spec = ExtractorSpec.for_graph(G, args.k, args.eps)
         verdict = verify_prefix_extractor(G, spec, args.max_subsets)
         if not verdict:
             drop, (B, A) = verdict.witness
@@ -311,42 +308,18 @@ def _cmd_sample_graph(args) -> int:
     return 0
 
 
-def _trial_verdict(G, params: ExistenceParams, max_subsets):
-    if params.kind == "extractor":
-        return verify_extractor(G, params.K, params.eps, max_subsets)
-    if params.kind == "disperser":
-        return verify_disperser(G, params.K, params.eps, max_subsets)
-    spec = ExtractorSpec(
-        n=(params.N - 1).bit_length(),
-        d=(G.D - 1).bit_length() if G.D > 1 else 0,
-        m=(params.M - 1).bit_length(),
-        k=(params.K - 1).bit_length(),
-        eps=params.eps,
-    )
-    return verify_prefix_extractor(G, spec, max_subsets)
-
-
 def _cmd_existence_trial(args) -> int:
     params = ExistenceParams(args.N, args.M, args.k, args.eps, args.kind)
-    D = degree_bound(params)
     out = sys.stdout
     _echo(out, subcommand="existence-trial", kind=args.kind, N=args.N,
-          M=args.M, K=args.k, eps=args.eps, D=D, trials=args.trials,
-          seed=args.seed, max_subsets=args.max_subsets)
-    children = np.random.SeedSequence(args.seed).spawn(args.trials)
-    passes = 0
-    for i, child in enumerate(children):
-        G = sample_graph(args.N, args.M, D, child)
-        verdict = _trial_verdict(G, params, args.max_subsets)
-        line = f"trial={i} seed={args.seed}:{i} verdict="
-        if verdict:
-            passes += 1
-            out.write(line + "pass\n")
-        else:
-            out.write(line + f"fail witness={verdict.witness}\n")
-    frac = Fraction(passes, args.trials)
-    out.write(f"pass_fraction={frac}\n")
-    return 0 if passes > 0 else 1
+          M=args.M, K=args.k, eps=args.eps, D=degree_bound(params),
+          trials=args.trials, seed=args.seed, max_subsets=args.max_subsets)
+    report = existence_trial(params, args.trials, args.seed, args.max_subsets)
+    for i, verdict in enumerate(report.verdicts):
+        result = "pass" if verdict else f"fail witness={verdict.witness}"
+        out.write(f"trial={i} seed={args.seed}:{i} verdict={result}\n")
+    out.write(f"pass_fraction={report.fraction}\n")
+    return 0 if report.passes else 1
 
 
 def _selection_merger(arity: int, k: int) -> Merger:

@@ -34,7 +34,6 @@ __all__ = [
     "graph_of_function",
     "function_of_graph",
     "prefix_graph",
-    "extractor_scan_range",
     "verify_disperser",
     "verify_extractor",
     "verify_prefix_extractor",
@@ -46,7 +45,7 @@ __all__ = [
 #: Default ceiling on the number of subsets a verifier may enumerate.
 DEFAULT_SUBSET_BUDGET = 1 << 20
 
-#: Right events in the first block of :func:`extractor_scan_range`.  Blocks
+#: Right events in the first block of :func:`_least_failing_event`.  Blocks
 #: double up to 2^_LOW_BITS rows, so a failure among the first events stays
 #: cheap while a full scan pays numpy's per-call cost once per block.
 _FIRST_BLOCK = 32
@@ -171,6 +170,14 @@ class ExtractorSpec:
     def K(self) -> int:
         return 1 << self.k
 
+    @classmethod
+    def for_graph(cls, G: BipartiteGraph, k: int, eps) -> ExtractorSpec:
+        """The spec of graph ``G`` at k source bits: n, d, m are the bit
+        lengths of its sides N, D, M rounded up, so a side that is not a
+        power of two fails :func:`verify_prefix_extractor`'s size check."""
+        n, d, m = ((v - 1).bit_length() for v in (G.N, G.D, G.M))
+        return cls(n=n, d=d, m=m, k=k, eps=eps)
+
 
 def graph_of_function(F, n: int | None = None, d: int | None = None, m: int | None = None) -> BipartiteGraph:
     """Tabulate a seeded map into its graph: row x lists F(x, y) in seed order.
@@ -293,12 +300,9 @@ def verify_disperser(
     return Verdict(True, note=f"checked all C({G.M},{L}) right sets")
 
 
-def extractor_scan_range(G: BipartiteGraph, K: int, eps, lo: int, hi: int):
-    """Least failing right-event bitmask in [lo, hi), or None if all pass.
-
-    The scan behind :func:`verify_extractor`.  Scanning consecutive ranges
-    and taking the least hit gives the same result as one scan over their
-    union.  Returns ``(bmask, B_indices, top_K_lefts)``.
+def _least_failing_event(G: BipartiteGraph, K: int, eps):
+    """Witness ``(B, A)`` of the least failing right-event bitmask in
+    [1, 2^M), or None if all pass: the scan behind :func:`verify_extractor`.
 
     Events are tested in blocks of consecutive bitmasks, 32 rows at first
     and doubling to 128; a block never crosses a multiple of 128, so its
@@ -317,12 +321,8 @@ def extractor_scan_range(G: BipartiteGraph, K: int, eps, lo: int, hi: int):
     eps = as_fraction(eps)
     p, q = eps.numerator, eps.denominator
     N, M, D = G.N, G.M, G.D
-    lo = max(lo, 1)  # the empty event never fails
-    if lo >= hi:
-        return None
     H = G.hist
-    width = min(M, (hi - 1).bit_length())
-    low = min(width, _LOW_BITS)
+    low = min(M, _LOW_BITS)
     # row r of the tables: counts and size of the event with low bits r
     table = np.zeros((1 << low, N), dtype=np.int64)
     sizes = np.zeros(1 << low, dtype=np.int64)
@@ -330,11 +330,11 @@ def extractor_scan_range(G: BipartiteGraph, K: int, eps, lo: int, hi: int):
         table[1 << z : 2 << z] = table[: 1 << z] + H[:, z]
         sizes[1 << z : 2 << z] = sizes[: 1 << z] + 1
     exact = K * D * M * (abs(p) + q) >= 1 << 63
-    start, size = lo, _FIRST_BLOCK
+    start, size, hi = 1, _FIRST_BLOCK, 1 << M  # the empty event never fails
     while start < hi:
         base = start >> low << low
         stop = min(start + size, base + (1 << low), hi)
-        high = [z for z in range(low, width) if base >> z & 1]
+        high = [z for z in range(low, M) if base >> z & 1]
         C = table[start - base : stop - base] + H[:, high].sum(axis=1)
         sB = sizes[start - base : stop - base] + len(high)
         peak = C.max(axis=1, initial=0)
@@ -356,7 +356,7 @@ def extractor_scan_range(G: BipartiteGraph, K: int, eps, lo: int, hi: int):
                 r = int(rows[fail.argmax()])
                 bmask = start + r
                 order = np.argsort(-C[r], kind="stable")[:K]
-                return bmask, tuple(z for z in range(M) if bmask >> z & 1), tuple(order.tolist())
+                return tuple(z for z in range(M) if bmask >> z & 1), tuple(order.tolist())
         start, size = stop, min(2 * size, 1 << low)
     return None
 
@@ -379,7 +379,7 @@ def verify_extractor(
     On failure the witness is ``(B, A)``: B the least failing subset in
     indicator-bitmask order, A the top-K lefts for that B (ties by index).
 
-    The events are scanned by :func:`extractor_scan_range` in blocks of at
+    The events are scanned by :func:`_least_failing_event` in blocks of at
     most 128 consecutive bitmasks, so a block's counts take 128*N int64s;
     the first failing row of the first failing block is the witness.
     """
@@ -389,10 +389,9 @@ def verify_extractor(
         raise BudgetExceededError(
             f"2^{G.M} right subsets exceed budget {max_subsets}"
         )
-    hit = extractor_scan_range(G, K, eps, 1, 1 << G.M)
-    if hit is not None:
-        _, cols, top = hit
-        return Verdict(False, witness=(cols, top))
+    witness = _least_failing_event(G, K, eps)
+    if witness is not None:
+        return Verdict(False, witness=witness)
     return Verdict(True, note=f"checked all 2^{G.M} right events")
 
 

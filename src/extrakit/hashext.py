@@ -110,18 +110,9 @@ def hash_table(family: ToeplitzFamily, max_bits: int = MAX_FAMILY_BITS) -> np.nd
         )
     if family.l > 16:
         raise BudgetExceededError(f"l={family.l} overflows the uint16 table")
-    n, l = family.n, family.l
-    maskn = (1 << n) - 1
-    R = np.arange(1 << family.d, dtype=np.uint64)
-    table = np.zeros((1 << family.d, 1 << n), dtype=np.uint16)
-    for xv in range(1 << n):
-        xrev = np.uint64(_reverse_bits(xv, n))
-        col = np.zeros(1 << family.d, dtype=np.uint16)
-        for i in range(l):
-            window = (R >> np.uint64(l - 1 - i)) & np.uint64(maskn)
-            bit = (np.bitwise_count(window & xrev) & 1).astype(np.uint16)
-            col = (col << 1) | bit
-        table[:, xv] = col
+    table = np.empty((family.size, 1 << family.n), dtype=np.uint16)
+    for xv in range(1 << family.n):
+        table[:, xv] = _column(family, BitString(family.n, xv))
     return table
 
 

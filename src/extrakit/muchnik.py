@@ -58,11 +58,14 @@ class EnumerableSet:
 
     order: tuple[int, ...]
     bound: Optional[int] = None
+    _members: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         order = tuple(int(a) for a in self.order)
         object.__setattr__(self, "order", order)
-        if len(set(order)) != len(order):
+        members = frozenset(order)
+        object.__setattr__(self, "_members", members)
+        if len(members) != len(order):
             raise DimensionError("enumeration order contains duplicates")
         bound = len(order) if self.bound is None else self.bound
         object.__setattr__(self, "bound", bound)
@@ -75,7 +78,7 @@ class EnumerableSet:
         return len(self.order)
 
     def __contains__(self, a: int) -> bool:
-        return a in set(self.order)
+        return a in self._members
 
     def __iter__(self):
         return iter(self.order)
@@ -220,12 +223,20 @@ def encode(
         raise NoGoodNeighborError(
             f"vertex {A} is bad under the {rule} rule; escalate to the chain"
         )
-    good = sorted(
-        int(z) for z in set(int(v) for v in G.adjacency[A]) if int(z) not in bad.bad_right
-    )
-    X = good[0]
-    j = next(j for j in range(G.D) if int(G.adjacency[A][j]) == X)
+    X = _least_good(G, A, bad.bad_right)
+    j = G.adjacency[A].tolist().index(X)
     return X, j
+
+
+def _least_good(G: BipartiteGraph, a: int, bad_right: frozenset[int]) -> int:
+    """The smallest right neighbor of ``a`` that is not in ``bad_right``."""
+    return min(z for z in G.adjacency[a].tolist() if z not in bad_right)
+
+
+def _adjacent_members(G: BipartiteGraph, S: EnumerableSet, X: int) -> list[int]:
+    """The members of S with an edge to X, in S's enumeration order."""
+    order = np.array(S.order, dtype=np.int64)
+    return order[(G.adjacency[order] == X).any(axis=1)].tolist()
 
 
 def decode(G: BipartiteGraph, S: EnumerableSet, X: int, idx: int) -> int:
@@ -234,26 +245,21 @@ def decode(G: BipartiteGraph, S: EnumerableSet, X: int, idx: int) -> int:
     Enumerates S in its fixed order keeping vertices with an edge to X;
     for a good X that list has at most 2DK/M entries, so idx is short.
     """
-    count = 0
-    for a in S.order:
-        if X in G.neighbors(a):
-            if count == idx:
-                return a
-            count += 1
-    raise IndexError(
-        f"index {idx} out of range: only {count} members of S are adjacent to {X}"
-    )
+    members = _adjacent_members(G, S, X)
+    if not 0 <= idx < len(members):
+        raise IndexError(
+            f"index {idx} out of range: only {len(members)} members of S"
+            f" are adjacent to {X}"
+        )
+    return members[idx]
 
 
 def neighbor_rank(G: BipartiteGraph, S: EnumerableSet, X: int, A: int) -> int:
     """Position of A among S's X-adjacent members, in enumeration order."""
-    count = 0
-    for a in S.order:
-        if X in G.neighbors(a):
-            if a == A:
-                return count
-            count += 1
-    raise DimensionError(f"vertex {A} is not an X-adjacent member of S")
+    try:
+        return _adjacent_members(G, S, X).index(A)
+    except ValueError:
+        raise DimensionError(f"vertex {A} is not an X-adjacent member of S") from None
 
 
 def encode_multi(
@@ -340,11 +346,7 @@ def iterative_chain(
         bad_set = set(bad.bad_left)
         for a in cur.order:
             if a not in bad_set:
-                good = sorted(
-                    z for z in set(int(v) for v in G.adjacency[a])
-                    if z not in bad.bad_right
-                )
-                assignment[a] = (i, good[0])
+                assignment[a] = (i, _least_good(G, a, bad.bad_right))
         cur = EnumerableSet(bad.bad_left)
         sizes.append(len(cur))
     if len(cur) > 0:

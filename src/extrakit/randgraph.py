@@ -10,13 +10,14 @@ by sampling seeded graphs at the bound and running the exact verifiers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from .dist import as_fraction
-from .errors import DimensionError
+from .errors import DimensionError, Verdict
 from .graph import (
     DEFAULT_SUBSET_BUDGET,
     BipartiteGraph,
@@ -117,23 +118,49 @@ def sample_graph(N: int, M: int, D: int, seed) -> BipartiteGraph:
 
 @dataclass(frozen=True)
 class ExistenceReport:
-    """Outcome of an existence run: pass fraction plus failure witnesses."""
+    """Outcome of an existence run: one exact verdict per sampled graph.
+
+    ``verdicts[i]`` is the verifier's :class:`Verdict` on trial i's graph,
+    in trial order.  The pass count, the pass fraction and the first ten
+    failures as ``(trial index, witness)`` pairs are derived from them.
+    """
 
     params: ExistenceParams
     D: int
-    trials: int
-    passes: int
-    failures: tuple = field(default_factory=tuple)
+    verdicts: tuple[Verdict, ...]
+
+    @property
+    def trials(self) -> int:
+        return len(self.verdicts)
+
+    @property
+    def passes(self) -> int:
+        return sum(v.ok for v in self.verdicts)
+
+    @property
+    def failures(self) -> tuple:
+        fails = ((i, v.witness) for i, v in enumerate(self.verdicts) if not v)
+        return tuple(islice(fails, 10))
 
     @property
     def fraction(self) -> Fraction:
-        return Fraction(self.passes, self.trials) if self.trials else Fraction(0)
+        return Fraction(self.passes, self.trials)
 
     def __repr__(self) -> str:
         return (
             f"ExistenceReport(kind={self.params.kind}, D={self.D}, "
             f"passes={self.passes}/{self.trials})"
         )
+
+
+def _trial_verdict(G: BipartiteGraph, p: ExistenceParams, max_subsets: int) -> Verdict:
+    """The exact verifier of ``p.kind`` on one sampled graph."""
+    if p.kind == "disperser":
+        return verify_disperser(G, p.K, p.eps, max_subsets)
+    if p.kind == "extractor":
+        return verify_extractor(G, p.K, p.eps, max_subsets)
+    spec = ExtractorSpec.for_graph(G, p.K.bit_length() - 1, p.eps)
+    return verify_prefix_extractor(G, spec, max_subsets)
 
 
 def existence_trial(
@@ -144,32 +171,17 @@ def existence_trial(
 ) -> ExistenceReport:
     """Sample ``trials`` graphs at the degree bound and verify each exactly.
 
-    Deterministic in (params, trials, seed): per-trial generators are
-    spawned from one seed sequence.  Failures are recorded as
-    ``(trial index, witness)`` pairs, truncated to the first ten.
+    Deterministic in (params, trials, seed): trial i's graph comes from
+    child i of ``np.random.SeedSequence(seed).spawn(trials)``.  The report
+    keeps every trial's verdict in trial order.  Raises
+    :class:`DimensionError` when ``trials < 1``.
     """
+    if trials < 1:
+        raise DimensionError(f"need at least one trial, got trials={trials}")
     D = degree_bound(p)
     children = np.random.SeedSequence(seed).spawn(trials)
-    passes = 0
-    failures = []
-    if p.kind == "prefix":
-        spec = ExtractorSpec(
-            n=p.N.bit_length() - 1,
-            d=D.bit_length() - 1,
-            m=p.M.bit_length() - 1,
-            k=p.K.bit_length() - 1,
-            eps=p.eps,
-        )
-    for i in range(trials):
-        G = sample_graph(p.N, p.M, D, children[i])
-        if p.kind == "disperser":
-            verdict = verify_disperser(G, p.K, p.eps, max_subsets)
-        elif p.kind == "extractor":
-            verdict = verify_extractor(G, p.K, p.eps, max_subsets)
-        else:
-            verdict = verify_prefix_extractor(G, spec, max_subsets)
-        if verdict:
-            passes += 1
-        elif len(failures) < 10:
-            failures.append((i, verdict.witness))
-    return ExistenceReport(p, D, trials, passes, tuple(failures))
+    verdicts = tuple(
+        _trial_verdict(sample_graph(p.N, p.M, D, child), p, max_subsets)
+        for child in children
+    )
+    return ExistenceReport(p, D, verdicts)

@@ -1,13 +1,15 @@
 """Command-line surface tests: subcommand behavior, exit codes, file
 formats with comment-tolerant parsing, determinism, and thread-count
-independence.  Everything runs in-process through main(argv); one test
-exercises the installed console script.
+independence.  Everything runs in-process through main(argv), except one
+test of ``python -m extrakit`` and one of the installed console script.
 """
 
 import io
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,6 +345,16 @@ def test_verify_prefix_non_power_of_two_transcript(capsys, tmp_path, dims, err):
     )
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_existence_trial_needs_a_trial(capsys, trials):
+    code, out, err = run(capsys, "existence-trial", "--kind", "extractor",
+                         "--N", "16", "--M", "8", "--k", "2", "--eps", "1/5",
+                         "--trials", trials)
+    assert code == 2
+    assert out.startswith("# subcommand=existence-trial") and "verdict" not in out
+    assert err == f"error: need at least one trial, got trials={trials}\n"
+
+
 # ---------------------------------------------------------------------------
 # compose-demo
 
@@ -477,6 +489,21 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                        "--graph", str(tmp_path / "missing.txt"),
                        "--k", "2", "--eps", "1/4")
     assert code == 2 and "missing.txt" in err
+
+
+def test_python_m_extrakit_runs_the_cli(tmp_path):
+    path = graph_file(tmp_path, pass_through_graph(4, 4))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ("verify-graph", "--kind", "extractor", "--graph", path,
+            "--k", "2", "--eps", "1/4")
+    proc = subprocess.run([sys.executable, "-m", "extrakit", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "verdict=pass"
+    proc = subprocess.run([sys.executable, "-m", "extrakit", "verify-graph"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and "required" in proc.stderr
 
 
 def test_console_script_entry_point(tmp_path):

@@ -1,6 +1,7 @@
 """Graph verifiers against first-principles oracles, plus formats."""
 
 import io
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,7 +22,7 @@ from extrakit import (
     verify_prefix_extractor,
     worst_flat_distance,
 )
-from extrakit.graph import extractor_scan_range, read_graph, write_graph
+from extrakit.graph import read_graph, write_graph
 from extrakit.errors import BudgetExceededError, DimensionError, FormatError
 
 from helpers import (
@@ -164,32 +165,13 @@ class TestVerifyExtractor:
         with pytest.raises(DimensionError):
             verify_extractor(constant_graph(2, 2, 1), 3, Fraction(1, 2))
 
-    def test_scan_range_chunking_equals_full_scan(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            G = random_graph(rng, 6, 4, 3)
-            eps = Fraction(1, 5)
-            full = extractor_scan_range(G, 2, eps, 1, 1 << G.M)
-            pieces = []
-            bounds = [1, 5, 9, 16]
-            for lo, hi in zip(bounds, bounds[1:]):
-                hit = extractor_scan_range(G, 2, eps, lo, hi)
-                if hit:
-                    pieces.append(hit)
-            assert (min(pieces) if pieces else None) == full
-
-
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_block_scan_matches_per_event_oracle(self, data):
-        # M up to 9 spans several blocks (rows 1-32, 33-96, 97-224, ...),
-        # and a random [lo, hi) starts and ends inside them.
+        # M up to 9 spans several blocks (rows 1-32, 33-96, 97-224, ...).
         G = data.draw(graphs(max_N=8, max_M=9))
         K = data.draw(source_sizes(G.N))
         eps = data.draw(error_bounds)
-        lo = data.draw(st.integers(0, 1 << G.M))
-        hi = data.draw(st.integers(lo, 1 << G.M))
-        assert extractor_scan_range(G, K, eps, lo, hi) == scan_range_oracle(G, K, eps, lo, hi)
         hit = scan_range_oracle(G, K, eps, 1, 1 << G.M)
         verdict = verify_extractor(G, K, eps)
         assert verdict.ok == (hit is None)
@@ -200,8 +182,8 @@ class TestVerifyExtractor:
         # fails: the least failing bitmask is 128, inside the third block.
         G = BipartiteGraph(4, 8, 2, [[7, 7], [0, 1], [2, 3], [4, 5]])
         eps = Fraction(13, 16)
-        assert extractor_scan_range(G, 1, eps, 1, 256) == scan_range_oracle(G, 1, eps, 1, 256)
-        assert extractor_scan_range(G, 1, eps, 1, 256)[0] == 128
+        assert scan_range_oracle(G, 1, eps, 1, 256)[0] == 128
+        assert verify_extractor(G, 1, eps).witness == ((7,), (0,))
 
     @pytest.mark.parametrize("eps", [Fraction(1, 2**61), Fraction(2**61 - 1, 2**61)])
     def test_huge_denominator_compares_without_wraparound(self, eps):
@@ -310,6 +292,20 @@ class TestVerifyPrefix:
         # but the 2-bit map misses half the outputs.
         verdict = verify_prefix_extractor(fn, spec)
         assert not verdict
+
+    def test_spec_for_graph_rounds_sides_up(self):
+        spec = ExtractorSpec.for_graph(constant_graph(16, 8, 32), 2, Fraction(1, 4))
+        assert spec == ExtractorSpec(n=4, d=5, m=3, k=2, eps=Fraction(1, 4))
+        assert ExtractorSpec.for_graph(constant_graph(2, 1, 1), 1, "1/2") == (
+            ExtractorSpec(n=1, d=0, m=0, k=1, eps=Fraction(1, 2))
+        )
+        for dims, want in (((5, 8, 4), "(5,8,4) does not match spec (8,8,4)"),
+                           ((8, 6, 4), "(8,6,4) does not match spec (8,8,4)"),
+                           ((8, 8, 3), "(8,8,3) does not match spec (8,8,4)")):
+            G = constant_graph(*dims)
+            spec = ExtractorSpec.for_graph(G, 1, Fraction(1, 4))
+            with pytest.raises(DimensionError, match=re.escape(want)):
+                verify_prefix_extractor(G, spec)
 
 
 class TestWorstFlatDistance:

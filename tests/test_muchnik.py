@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.random import SeedSequence, default_rng
 
 from extrakit import (
@@ -81,6 +82,16 @@ def test_enumerable_set_basics():
         EnumerableSet((1, 1, 2))
     with pytest.raises(DimensionError):
         EnumerableSet((1, 2, 3), bound=2)
+
+
+def test_enumerable_set_membership_cache_leaves_value_semantics():
+    S, T = EnumerableSet((4, 1, 7)), EnumerableSet([np.int64(4), 1, 7])
+    assert S == T and hash(S) == hash(T)
+    assert S != EnumerableSet((1, 4, 7))  # the order is part of the value
+    assert S != EnumerableSet((4, 1, 7), bound=5)
+    assert len({S, T}) == 1
+    assert repr(S) == "EnumerableSet(order=(4, 1, 7), bound=3)"
+    assert np.int64(7) in S and 7.0 in S and 2 not in S
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +265,49 @@ def test_decode_singleton_and_errors():
     assert decode(G, S, 2, 0) == 3
     with pytest.raises(IndexError):
         decode(G, S, 2, 1)  # only one S-neighbor
+    for idx in (-1, -2):
+        with pytest.raises(IndexError, match=f"index {idx} out of range: only 1"):
+            decode(G, S, 2, idx)  # no wrap-around from the end
     with pytest.raises(IndexError):
         decode(G, S, 0, 0)  # vertex 3 has no edge to 0
     with pytest.raises(DimensionError):
         neighbor_rank(G, S, 0, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rank_decode_and_least_good_match_naive_scans(data):
+    N, M, D = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, M - 1), min_size=D, max_size=D)
+    G = BipartiteGraph(N, M, D, data.draw(st.lists(row, min_size=N, max_size=N)))
+    order = data.draw(st.permutations(range(N)))
+    S = EnumerableSet(order[: data.draw(st.integers(0, N))])
+    K = len(S)
+    for X in range(-1, M + 1):
+        adjacent = [a for a in S.order if any(int(z) == X for z in G.adjacency[a])]
+        for idx, a in enumerate(adjacent):
+            assert neighbor_rank(G, S, X, a) == idx
+            assert decode(G, S, X, idx) == a
+        for idx in (len(adjacent), -1, -len(adjacent) - 1):
+            with pytest.raises(IndexError):
+                decode(G, S, X, idx)
+        for a in set(range(N)) - set(adjacent):
+            with pytest.raises(DimensionError):
+                neighbor_rank(G, S, X, a)
+    bad_right, bad_left = naive_bad_sets(G, S, K, "all")
+    for a in S.order:
+        good = sorted({int(z) for z in G.adjacency[a]} - bad_right)
+        if a in bad_left:
+            assert not good
+            continue
+        X, j = muchnik_encode(G, S, a, "all", K)
+        assert X == good[0] and int(G.adjacency[a][j]) == X
+        assert all(int(z) != X for z in G.adjacency[a][:j])
+    if not bad_left:  # otherwise the one-level chain cannot finish
+        chain = iterative_chain([G], S, Ks=[K])
+        for a, (level, X) in chain.assignment.items():
+            assert level == 0
+            assert X == min({int(z) for z in G.adjacency[a]} - bad_right)
 
 
 # ---------------------------------------------------------------------------

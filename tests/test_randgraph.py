@@ -8,11 +8,15 @@ import pytest
 
 from extrakit import (
     ExistenceParams,
+    ExistenceReport,
+    ExtractorSpec,
+    Verdict,
     degree_bound,
     existence_trial,
     sample_graph,
     verify_disperser,
     verify_extractor,
+    verify_prefix_extractor,
 )
 from extrakit.randgraph import _guarded_ceil
 from extrakit.errors import DimensionError
@@ -151,3 +155,52 @@ class TestExistenceTrial:
         for trial, witness in report.failures:
             assert 0 <= trial < 15
             assert witness is not None
+
+    @pytest.mark.parametrize("kind, N, M, K, eps, trials", [
+        ("extractor", 16, 8, 2, Fraction(1, 5), 4),
+        ("disperser", 32, 4, 2, Fraction(1, 4), 3),
+        ("prefix", 4, 8, 2, Fraction(5, 16), 6),
+    ])
+    def test_verdicts_are_the_manual_verdicts_in_trial_order(self, kind, N, M, K, eps, trials):
+        # each run mixes passing and failing trials at seed 0 or 1
+        seed = 1 if kind == "extractor" else 0
+        p = ExistenceParams(N, M, K, eps, kind)
+        D = degree_bound(p)
+        report = existence_trial(p, trials, seed)
+        assert report.D == D and report.trials == len(report.verdicts) == trials
+        manual = []
+        for child in np.random.SeedSequence(seed).spawn(trials):
+            G = sample_graph(N, M, D, child)
+            if kind == "extractor":
+                manual.append(verify_extractor(G, K, eps))
+            elif kind == "disperser":
+                manual.append(verify_disperser(G, K, eps))
+            else:
+                spec = ExtractorSpec(N.bit_length() - 1, D.bit_length() - 1,
+                                     M.bit_length() - 1, K.bit_length() - 1, eps)
+                manual.append(verify_prefix_extractor(G, spec))
+        got = [(v.ok, v.witness, v.note) for v in report.verdicts]
+        assert got == [(v.ok, v.witness, v.note) for v in manual]
+        assert 0 < report.passes < trials
+        assert report.passes == sum(v.ok for v in manual)
+        assert report.fraction == Fraction(report.passes, trials)
+        assert report.failures == tuple(
+            (i, v.witness) for i, v in enumerate(manual) if not v.ok
+        )
+
+    def test_derived_fields_and_repr(self):
+        p = ExistenceParams(16, 8, 2, Fraction(1, 5))
+        verdicts = tuple(Verdict(i % 3 == 0, witness=None if i % 3 == 0 else i)
+                         for i in range(20))
+        report = ExistenceReport(p, 7, verdicts)
+        assert (report.trials, report.passes) == (20, 7)
+        assert report.fraction == Fraction(7, 20)
+        # failures keep the first ten, in trial order
+        assert report.failures == tuple((i, i) for i in range(20) if i % 3)[:10]
+        assert repr(report) == "ExistenceReport(kind=extractor, D=7, passes=7/20)"
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_needs_at_least_one_trial(self, trials):
+        p = ExistenceParams(16, 8, 2, Fraction(1, 5))
+        with pytest.raises(DimensionError, match=f"got trials={trials}"):
+            existence_trial(p, trials, 0)
