@@ -6,12 +6,14 @@ histogram/verifier internals, so a bug on either side shows up as a
 disagreement rather than agreeing with itself.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from extrakit import BipartiteGraph, sample_graph
+from extrakit import BipartiteGraph, BitString, sample_graph
+from extrakit.errors import EntropyDeficitError
 
 
 def adjacency_lists(G: BipartiteGraph) -> list[list[int]]:
@@ -112,3 +114,126 @@ def find_passing_graph(N, M, K, eps, D, seeds, verifier):
         if verifier(G):
             return G
     raise AssertionError(f"no passing graph found at N={N} M={M} D={D}")
+
+
+# ---------------------------------------------------------------------------
+# distribution oracles: the Fraction-list and float-array bodies that
+# ``dist``, ``compose`` and ``hashext`` used before ``Dist`` stored integer
+# weights.  They read only ``.length``, ``.exact`` and ``.probs``.
+
+
+def _oracle_float_probs(X) -> np.ndarray:
+    return np.array([float(p) for p in X.probs]) if X.exact else np.asarray(X.probs)
+
+
+def _oracle_exact_probs(X) -> list:
+    if X.exact:
+        return list(X.probs)
+    probs = [Fraction(float(p)) for p in X.probs]
+    total = sum(probs)
+    return [p / total for p in probs]
+
+
+def min_entropy_oracle(X) -> float:
+    probs = X.probs
+    support = [i for i in range(len(probs)) if probs[i] > 0]
+    if X.exact:
+        best = max(probs[i] for i in support)
+        return math.log2(best.denominator) - math.log2(best.numerator)
+    return float(-np.log2(np.max(np.asarray(probs)[support])))
+
+
+def stat_dist_oracle(X, Y):
+    if X.exact and Y.exact:
+        return sum(abs(p - q) for p, q in zip(X.probs, Y.probs)) / 2
+    xp, yp = _oracle_float_probs(X), _oracle_float_probs(Y)
+    return float(np.abs(xp - yp).sum() / 2)
+
+
+def flat_decompose_oracle(X, K: int) -> list:
+    """``[(weight, sorted support), ...]`` by the Fraction-list procedure;
+    raises the same :class:`EntropyDeficitError` messages."""
+    if K < 1:
+        raise EntropyDeficitError(f"component size K={K} must be at least 1")
+    rem = _oracle_exact_probs(X)
+    size = len(rem)
+    if K > size:
+        raise EntropyDeficitError(f"K={K} exceeds the 2^{X.length} strings available")
+    worst = max(rem)
+    if worst > Fraction(1, K):
+        raise EntropyDeficitError(
+            f"min-entropy {math.log2(worst.denominator) - math.log2(worst.numerator):.6f}"
+            f" below log2 K = {math.log2(K):.6f}"
+        )
+    components = []
+    total = Fraction(1)
+    while total != 0:
+        order = sorted(range(size), key=lambda i: (-rem[i], i))
+        chosen = order[:K]
+        v = min(rem[i] for i in chosen)
+        if K < size:
+            v = min(v, total / K - rem[order[K]])
+        assert v > 0
+        for i in chosen:
+            rem[i] -= v
+        total -= K * v
+        components.append((K * v, sorted(chosen)))
+    return components
+
+
+def push_forward_oracle(F, X):
+    """Output probabilities of ``F(X, U_d)``: Fractions for an exact X,
+    else a float64 array accumulated entry by entry."""
+    seeds = [BitString(F.d, y) for y in range(1 << F.d)]
+    probs = X.probs
+    support = [i for i in range(len(probs)) if probs[i] > 0]
+    if X.exact:
+        acc = [Fraction(0)] * (1 << F.m)
+        seed_w = Fraction(1, 1 << F.d)
+        for xi in support:
+            px = probs[xi] * seed_w
+            for y in seeds:
+                acc[F(BitString(F.n, xi), y).value] += px
+        return acc
+    acc = np.zeros(1 << F.m)
+    seed_w = 1.0 / (1 << F.d)
+    arr = np.asarray(probs)
+    for xi in support:
+        px = float(arr[xi]) * seed_w
+        for y in seeds:
+            acc[F(BitString(F.n, xi), y).value] += px
+    return acc
+
+
+def marginal1_oracle(joint, n1: int, n2: int):
+    if joint.exact:
+        return [
+            sum(joint.probs[(x1 << n2) | x2] for x2 in range(1 << n2))
+            for x1 in range(1 << n1)
+        ]
+    return np.asarray(joint.probs).reshape(1 << n1, 1 << n2).sum(axis=1)
+
+
+def conditional2_oracle(joint, n1: int, n2: int, x1: int):
+    """Second-block probabilities given x1; None when x1 has no mass."""
+    if joint.exact:
+        row = [joint.probs[(x1 << n2) | x2] for x2 in range(1 << n2)]
+        total = sum(row)
+        return None if total == 0 else [p / total for p in row]
+    row = np.asarray(joint.probs).reshape(1 << n1, 1 << n2)[x1]
+    total = float(row.sum())
+    return None if total == 0 else row / total
+
+
+def meets_min_entropy_oracle(X, k) -> bool:
+    if X.exact and isinstance(k, int):
+        bound = Fraction(1, 1 << k) if k >= 0 else Fraction(1 << -k)
+        return max(X.probs) <= bound
+    return min_entropy_oracle(X) >= float(k) - 1e-12
+
+
+def collision_measure_oracle(X):
+    if X.exact:
+        return sum(p * p for p in X.probs)
+    arr = np.asarray(X.probs)
+    return float(np.dot(arr, arr))
