@@ -21,7 +21,7 @@ import numpy as np
 
 from .bits import BitString
 from .design import DesignFamily, greedy_weak_design, read_design, verify_design, write_design
-from .dist import Dist, read_dist, write_dist
+from .dist import read_dist
 from .ecc import build_code, encode as ecc_encode
 from .errors import (
     BudgetExceededError,

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .bits import BitString, concat
 from .dist import Dist, SeededFunction, as_fraction, min_entropy, stat_dist
 from .errors import DimensionError, InvalidDistributionError, Verdict
@@ -75,30 +73,16 @@ class BlockSource:
 
     def marginal1(self) -> Dist:
         """Distribution of the first block."""
-        size1, size2 = 1 << self.n1, 1 << self.n2
-        if self.joint.exact:
-            probs = [
-                sum(self.joint.probs[(x1 << self.n2) | x2] for x2 in range(size2))
-                for x1 in range(size1)
-            ]
-            return Dist(self.n1, probs, exact=True)
-        arr = np.asarray(self.joint.probs).reshape(size1, size2).sum(axis=1)
-        return Dist(self.n1, arr, exact=False)
+        rows = self.joint.weights.reshape(1 << self.n1, -1)
+        return Dist._of(self.n1, rows.sum(axis=1), self.joint.total)
 
     def conditional2(self, x1: int) -> Dist:
         """Distribution of the second block given a first-block value."""
-        size2 = 1 << self.n2
-        if self.joint.exact:
-            row = [self.joint.probs[(x1 << self.n2) | x2] for x2 in range(size2)]
-            total = sum(row)
-            if total == 0:
-                raise InvalidDistributionError(f"first block never takes value {x1}")
-            return Dist(self.n2, [p / total for p in row], exact=True)
-        row = np.asarray(self.joint.probs).reshape(1 << self.n1, size2)[x1]
-        total = float(row.sum())
-        if total == 0:
+        row = self.joint.weights.reshape(1 << self.n1, -1)[x1]
+        mass = row.sum()
+        if mass == 0:
             raise InvalidDistributionError(f"first block never takes value {x1}")
-        return Dist(self.n2, row / total, exact=False)
+        return Dist._of(self.n2, row, mass)
 
 
 def check_block_source(s: BlockSource) -> Verdict:
@@ -118,9 +102,9 @@ def check_block_source(s: BlockSource) -> Verdict:
 
 
 def _meets_min_entropy(X: Dist, k) -> bool:
+    """H_inf(X) >= k: in integers for exact X and int k, else within 1e-12 bits."""
     if X.exact and isinstance(k, int):
-        bound = Fraction(1, 1 << k) if k >= 0 else Fraction(1 << -k)
-        return max(X.probs) <= bound
+        return X.weights.max() << max(k, 0) <= X.total << max(-k, 0)
     return min_entropy(X) >= float(k) - 1e-12
 
 

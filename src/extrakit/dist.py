@@ -1,16 +1,17 @@
 """Distributions over fixed-length bit strings.
 
-:class:`Dist` stores one probability per string in ``{0,1}^n`` (dense),
-with a choice of numeric backing:
+:class:`Dist` stores one weight per string in ``{0,1}^n`` (dense) over a
+common total, ``P(x) = weights[x] / total``, with a choice of backing:
 
-* exact — a list of :class:`fractions.Fraction`, used by the oracle and
+* exact — Python-int weights over an int total, used by the oracle and
   verification paths so that pass/fail comparisons carry no float noise;
-* float — a numpy array of float64 for larger instances.
+* float — float64 weights over ``total = 1.0`` for larger instances.
 
-On top of it live the quantities the rest of the package works with:
-min-entropy, statistical distance, flat sources (uniform on a support
-set), the decomposition of any high-min-entropy distribution into flat
-components, and the push-forward of a source through a seeded map.
+Each quantity here is one numpy body over ``weights`` and ``total`` for
+both backings: min-entropy, statistical distance, flat sources (uniform
+on a support set), the decomposition of any high-min-entropy
+distribution into flat components, and the push-forward of a source
+through a seeded map.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TextIO, Union
+from typing import Callable, Iterable, TextIO, Union
 
 import numpy as np
 
@@ -47,7 +48,7 @@ __all__ = [
 
 #: Hard cap on the bit length of any dense distribution (2^24 entries).
 MAX_LENGTH = 24
-#: Cap for the exact (Fraction-backed) representation.
+#: Cap for the exact (integer-weight) representation.
 MAX_EXACT_LENGTH = 16
 
 Number = Union[int, float, Fraction]
@@ -68,23 +69,40 @@ def as_fraction(x: Number | str) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-class Dist:
-    """A probability assignment over all strings of a fixed bit length."""
+def _check_length(length: int, exact: bool) -> None:
+    if length < 0 or length > MAX_LENGTH:
+        raise InvalidDistributionError(
+            f"bit length {length} outside supported range 0..{MAX_LENGTH}"
+        )
+    if exact and length > MAX_EXACT_LENGTH:
+        raise InvalidDistributionError(
+            f"exact backing supported only up to n = {MAX_EXACT_LENGTH}"
+        )
 
-    __slots__ = ("length", "_probs", "exact")
+
+def _zeros(length: int, exact: bool) -> np.ndarray:
+    """All-zero weights on ``{0,1}^length``: Python ints or float64."""
+    _check_length(length, exact)
+    return np.zeros(1 << length, dtype=object if exact else np.float64)
+
+
+class Dist:
+    """A probability assignment over all strings of a fixed bit length.
+
+    String ``x`` has probability ``weights[x] / total``.  Exact backing: a
+    numpy object array of Python ints over a positive int ``total`` (the
+    lcm of the input denominators), so no sum overflows or rounds.  Float
+    backing: float64 ``weights`` over ``total = 1.0``.  ``exact`` is read
+    off the dtype; ``probs`` and ``prob`` hand out Fractions or floats.
+    """
+
+    __slots__ = ("length", "weights", "total")
 
     def __init__(self, length: int, probs, exact: bool | None = None, tol: float = 1e-9):
-        if length < 0 or length > MAX_LENGTH:
-            raise InvalidDistributionError(
-                f"bit length {length} outside supported range 0..{MAX_LENGTH}"
-            )
-        size = 1 << length
         if exact is None:
             exact = any(isinstance(p, Fraction) for p in probs)
-        if exact and length > MAX_EXACT_LENGTH:
-            raise InvalidDistributionError(
-                f"exact backing supported only up to n = {MAX_EXACT_LENGTH}"
-            )
+        _check_length(length, exact)
+        size = 1 << length
         if exact:
             vals = [Fraction(p) for p in probs]
             if len(vals) != size:
@@ -93,69 +111,82 @@ class Dist:
                 )
             if any(p < 0 for p in vals):
                 raise InvalidDistributionError("negative probability")
-            total = sum(vals)
-            if total != 1:
-                raise InvalidDistributionError(f"probabilities sum to {total}, not 1")
-            self._probs = vals
+            total = math.lcm(*(v.denominator for v in vals))
+            weights = np.array([v.numerator * (total // v.denominator) for v in vals], dtype=object)
+            if weights.sum() != total:
+                raise InvalidDistributionError(
+                    f"probabilities sum to {Fraction(weights.sum(), total)}, not 1"
+                )
         else:
-            arr = np.asarray(probs, dtype=np.float64)
-            if arr.shape != (size,):
+            weights = np.asarray(probs, dtype=np.float64)
+            if weights.shape != (size,):
                 raise InvalidDistributionError(
-                    f"expected {size} probabilities, got shape {arr.shape}"
+                    f"expected {size} probabilities, got shape {weights.shape}"
                 )
-            if np.any(arr < 0):
+            if np.any(weights < 0):
                 raise InvalidDistributionError("negative probability")
-            total = float(arr.sum())
-            if abs(total - 1.0) > tol:
+            mass = float(weights.sum())
+            if abs(mass - 1.0) > tol:
                 raise InvalidDistributionError(
-                    f"probabilities sum to {total}, outside 1 +/- {tol}"
+                    f"probabilities sum to {mass}, outside 1 +/- {tol}"
                 )
-            self._probs = arr
-        self.length = length
-        self.exact = exact
+            total = 1.0
+        self.length, self.weights, self.total = length, weights, total
+
+    @classmethod
+    def _of(cls, length: int, weights: np.ndarray, total) -> "Dist":
+        """Wrap weights over ``total`` without re-validating them.  Int
+        (object) weights keep ``total``; float weights are divided by it."""
+        X = object.__new__(cls)
+        if weights.dtype != object:
+            weights, total = weights / total, 1.0
+        X.length, X.weights, X.total = length, weights, total
+        return X
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def uniform(cls, length: int, exact: bool = True) -> "Dist":
-        size = 1 << length
-        if exact and length <= MAX_EXACT_LENGTH:
-            return cls(length, [Fraction(1, size)] * size, exact=True)
-        return cls(length, np.full(size, 1.0 / size), exact=False)
+        weights = _zeros(length, exact and length <= MAX_EXACT_LENGTH)
+        weights[:] = 1
+        return cls._of(length, weights, len(weights))
 
     @classmethod
     def point(cls, x: BitString, exact: bool = True) -> "Dist":
-        size = 1 << x.length
-        if exact:
-            probs = [Fraction(0)] * size
-            probs[x.value] = Fraction(1)
-            return cls(x.length, probs, exact=True)
-        arr = np.zeros(size)
-        arr[x.value] = 1.0
-        return cls(x.length, arr, exact=False)
+        weights = _zeros(x.length, exact)
+        weights[x.value] = 1
+        return cls._of(x.length, weights, 1)
 
     # -- access -------------------------------------------------------
 
     @property
+    def exact(self) -> bool:
+        return self.weights.dtype == object
+
+    @property
     def probs(self):
-        """The underlying probability vector (list of Fractions or ndarray)."""
-        return self._probs
+        """The probability vector: a list of Fractions, or the float64 weights."""
+        if self.exact:
+            return [Fraction(w, self.total) for w in self.weights]
+        return self.weights
 
     def prob(self, x: Union[BitString, int]):
         idx = x.value if isinstance(x, BitString) else x
-        return self._probs[idx]
+        return self._ratio(self.weights[idx], self.total)
+
+    def _ratio(self, num, den):
+        """``num / den`` as this backing's scalar: a Fraction or a float."""
+        return Fraction(num, den) if self.exact else float(num / den)
 
     def support(self) -> list[int]:
         """Indices with positive probability, ascending."""
-        if self.exact:
-            return [i for i, p in enumerate(self._probs) if p > 0]
-        return [int(i) for i in np.nonzero(self._probs)[0]]
+        return np.flatnonzero(self.weights).tolist()
 
     def to_exact(self) -> "Dist":
         """Exact copy; floats become their exact binary rationals."""
         if self.exact:
             return self
-        probs = [Fraction(float(p)) for p in self._probs]
+        probs = [Fraction(float(w)) for w in self.weights]
         total = sum(probs)
         if total == 0:
             raise InvalidDistributionError("all-zero distribution")
@@ -164,24 +195,24 @@ class Dist:
     def to_float(self) -> "Dist":
         if not self.exact:
             return self
-        return Dist(
-            self.length, np.array([float(p) for p in self._probs]), exact=False
-        )
+        return Dist(self.length, self.weights / self.total, exact=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dist) or self.length != other.length:
             return False
-        if self.exact and other.exact:
-            return self._probs == other._probs
-        return bool(
-            np.array_equal(
-                np.asarray(self.to_float()._probs), np.asarray(other.to_float()._probs)
-            )
-        )
+        X, Y = _same_backing(self, other)
+        return bool(np.array_equal(X.weights * Y.total, Y.weights * X.total))
 
     def __repr__(self) -> str:
         kind = "exact" if self.exact else "float"
         return f"Dist(n={self.length}, {kind})"
+
+
+def _same_backing(X: Dist, Y: Dist) -> tuple[Dist, Dist]:
+    """Both unchanged when both are exact, else both as floats."""
+    if X.exact and Y.exact:
+        return X, Y
+    return X.to_float(), Y.to_float()
 
 
 @dataclass(frozen=True)
@@ -215,17 +246,9 @@ class FlatSource:
         return len(self.support)
 
     def dist(self, exact: bool = True) -> Dist:
-        k = len(self.support)
-        size = 1 << self.length
-        if exact and self.length <= MAX_EXACT_LENGTH:
-            probs = [Fraction(0)] * size
-            w = Fraction(1, k)
-            for s in self.support:
-                probs[s] = w
-            return Dist(self.length, probs, exact=True)
-        arr = np.zeros(size)
-        arr[sorted(self.support)] = 1.0 / k
-        return Dist(self.length, arr, exact=False)
+        weights = _zeros(self.length, exact and self.length <= MAX_EXACT_LENGTH)
+        weights[sorted(self.support)] = 1
+        return Dist._of(self.length, weights, self.size)
 
 
 @dataclass(frozen=True)
@@ -265,14 +288,14 @@ class SeededFunction:
 
 
 def min_entropy(X: Dist) -> float:
-    """Min-entropy in bits: the smallest ``-log2 X(a)`` over the support."""
-    support = X.support()
-    if not support:
+    """Min-entropy in bits: ``log2(total) - log2(max weight)``."""
+    top = X.weights.max()
+    if top == 0:
         raise InvalidDistributionError("all-zero distribution has no min-entropy")
     if X.exact:
-        best = max(X.probs[i] for i in support)
+        best = Fraction(top, X.total)
         return math.log2(best.denominator) - math.log2(best.numerator)
-    return float(-np.log2(np.max(np.asarray(X.probs)[support])))
+    return float(-np.log2(top))
 
 
 def stat_dist(X: Dist, Y: Dist):
@@ -285,11 +308,9 @@ def stat_dist(X: Dist, Y: Dist):
         raise DimensionError(
             f"statistical distance between lengths {X.length} and {Y.length}"
         )
-    if X.exact and Y.exact:
-        return sum(abs(p - q) for p, q in zip(X.probs, Y.probs)) / 2
-    xp = np.asarray(X.to_float().probs)
-    yp = np.asarray(Y.to_float().probs)
-    return float(np.abs(xp - yp).sum() / 2)
+    X, Y = _same_backing(X, Y)
+    gap = np.abs(X.weights * Y.total - Y.weights * X.total).sum()
+    return X._ratio(gap, 2 * X.total * Y.total)
 
 
 def flat_decompose(X: Dist, K: int) -> list[tuple[Fraction, FlatSource]]:
@@ -302,7 +323,10 @@ def flat_decompose(X: Dist, K: int) -> list[tuple[Fraction, FlatSource]]:
     The procedure repeatedly picks the ``K`` largest remaining entries
     (ties broken by ascending string order) and removes the largest mass
     that keeps every remaining entry at most ``1/K`` of the remaining
-    total; each removal step emits one flat component.
+    total; each removal step emits one flat component.  It runs on
+    integers in units of ``1/(K*total)``: a step removing ``v`` from each
+    chosen entry removes ``K*v`` of mass, so the remaining mass over K
+    stays an integer and each component weighs ``v/total``.
     """
     if K < 1:
         raise EntropyDeficitError(f"component size K={K} must be at least 1")
@@ -310,31 +334,28 @@ def flat_decompose(X: Dist, K: int) -> list[tuple[Fraction, FlatSource]]:
     size = 1 << Xe.length
     if K > size:
         raise EntropyDeficitError(f"K={K} exceeds the 2^{Xe.length} strings available")
-    rem = list(Xe.probs)
-    cap = Fraction(1, K)
-    worst = max(rem)
-    if worst > cap:
+    if Xe.weights.max() * K > Xe.total:
         raise EntropyDeficitError(
-            f"min-entropy {math.log2(worst.denominator) - math.log2(worst.numerator):.6f}"
-            f" below log2 K = {math.log2(K):.6f}"
+            f"min-entropy {min_entropy(Xe):.6f} below log2 K = {math.log2(K):.6f}"
         )
+    rem = Xe.weights * K
+    left = Xe.total  # remaining mass / K
     components: list[tuple[Fraction, FlatSource]] = []
-    total = Fraction(1)
     for _ in range(2 * size + 2):
-        if total == 0:
+        if left == 0:
             break
-        order = sorted(range(size), key=lambda i: (-rem[i], i))
+        order = np.argsort(-rem, kind="stable")
         chosen = order[:K]
-        v = min(rem[i] for i in chosen)
+        v = rem[chosen].min()
         if K < size:
-            u = rem[order[K]]
-            v = min(v, total / K - u)
+            v = min(v, left - rem[order[K]])
         if v <= 0:  # pragma: no cover - excluded by the entropy precondition
             raise InvalidDistributionError("decomposition stalled; invariant broken")
-        for i in chosen:
-            rem[i] -= v
-        total -= K * v
-        components.append((K * v, FlatSource(Xe.length, frozenset(chosen))))
+        rem[chosen] -= v
+        left -= v
+        components.append(
+            (Fraction(v, Xe.total), FlatSource(Xe.length, frozenset(chosen.tolist())))
+        )
     else:  # pragma: no cover
         raise InvalidDistributionError("decomposition did not terminate")
     return components
@@ -344,30 +365,19 @@ def push_forward(F: SeededFunction, X: Dist) -> Dist:
     """Distribution of ``F(X, U_d)``: the source ``X`` with a uniform seed.
 
     Exact backing in, exact backing out (total mass is preserved exactly);
-    float backing falls back to float accumulation.
+    float backing sums floats, in ``(x, y)`` order.
     """
     if X.length != F.n:
         raise DimensionError(f"source length {X.length} but map expects {F.n}")
     seeds = [BitString(F.d, y) for y in range(1 << F.d)]
-    out_size = 1 << F.m
-    if X.exact:
-        acc = [Fraction(0)] * out_size
-        seed_w = Fraction(1, 1 << F.d)
-        for xi in X.support():
-            px = X.probs[xi] * seed_w
-            xw = BitString(F.n, xi)
-            for y in seeds:
-                acc[F(xw, y).value] += px
-        return Dist(F.m, acc, exact=True)
-    acc = np.zeros(out_size)
-    seed_w = 1.0 / (1 << F.d)
-    probs = np.asarray(X.probs)
-    for xi in X.support():
-        px = float(probs[xi]) * seed_w
-        xw = BitString(F.n, xi)
-        for y in seeds:
-            acc[F(xw, y).value] += px
-    return Dist(F.m, acc, exact=False)
+    xs = X.support()
+    outs = [F(BitString(F.n, x), y).value for x in xs for y in seeds]
+    # each (x, y) pair weighs P(x)/2^d: exact ints keep a 2^d-fold total,
+    # floats are divided here, before they are summed
+    pairs = Dist._of(X.length, X.weights, X.total * len(seeds))
+    acc = _zeros(F.m, X.exact)
+    np.add.at(acc, outs, np.repeat(pairs.weights[xs], len(seeds)))
+    return Dist._of(F.m, acc, pairs.total)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +386,8 @@ def push_forward(F: SeededFunction, X: Dist) -> Dist:
 
 def write_dist(X: Dist, fp: TextIO) -> None:
     fp.write(f"{X.length}\n")
-    for i in range(1 << X.length):
-        bs = BitString(X.length, i)
-        p = X.probs[i]
-        token = str(p) if X.exact else repr(float(p))
-        fp.write(f"{bs.to_text()} {token}\n")
+    for i, w in enumerate(X.weights):
+        fp.write(f"{BitString(X.length, i).to_text()} {X._ratio(w, X.total)}\n")
 
 
 def _parse_weight(token: str):
@@ -423,6 +430,4 @@ def read_dist(fp: TextIO) -> Dist:
     missing = [i for i, w in enumerate(weights) if w is None]
     if missing:
         raise FormatError(f"missing entry for string index {missing[0]}")
-    if exact:
-        return Dist(n, [Fraction(w) for w in weights], exact=True)
-    return Dist(n, np.array([float(w) for w in weights]), exact=False)
+    return Dist(n, weights, exact=exact)

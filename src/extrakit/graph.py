@@ -248,6 +248,12 @@ def _combination_chunks(n: int, k: int, rows: int):
         left -= r
 
 
+def _check_flat_size(G: BipartiteGraph, K: int) -> None:
+    """A flat left source has between 1 and N vertices."""
+    if not 1 <= K <= G.N:
+        raise DimensionError(f"K={K} outside 1..N for left size N={G.N}")
+
+
 def verify_disperser(
     G: BipartiteGraph,
     K: int,
@@ -268,8 +274,7 @@ def verify_disperser(
     graphs test one Y at a time on Python-int neighbor masks.
     """
     eps = as_fraction(eps)
-    if K > G.N:
-        raise DimensionError(f"K={K} exceeds left size N={G.N}")
+    _check_flat_size(G, K)
     L = math.ceil(eps * G.M)
     if L > G.M:
         return Verdict(True, note=f"L={L} exceeds M={G.M}; condition vacuous")
@@ -383,8 +388,7 @@ def verify_extractor(
     most 128 consecutive bitmasks, so a block's counts take 128*N int64s;
     the first failing row of the first failing block is the witness.
     """
-    if K > G.N:
-        raise DimensionError(f"K={K} exceeds left size N={G.N}")
+    _check_flat_size(G, K)
     if 1 << G.M > max_subsets:
         raise BudgetExceededError(
             f"2^{G.M} right subsets exceed budget {max_subsets}"
@@ -442,8 +446,7 @@ def worst_flat_distance(
     and compares the integer numerators ``sum_z |M*E_z - K*D|``, which
     share the denominator ``2*M*K*D``; only the winner becomes a Fraction.
     """
-    if K > G.N:
-        raise DimensionError(f"K={K} exceeds left size N={G.N}")
+    _check_flat_size(G, K)
     if math.comb(G.N, K) > max_subsets:
         raise BudgetExceededError(
             f"C({G.N},{K}) = {math.comb(G.N, K)} subsets exceed budget {max_subsets}"

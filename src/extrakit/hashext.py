@@ -156,10 +156,7 @@ def collision_prob(
 
 def collision_measure(X: Dist):
     """Collision probability of two independent draws: sum of squared masses."""
-    if X.exact:
-        return sum(p * p for p in X.probs)
-    arr = np.asarray(X.probs)
-    return float(np.dot(arr, arr))
+    return X._ratio(np.dot(X.weights, X.weights), X.total * X.total)
 
 
 def hash_extractor_eval(

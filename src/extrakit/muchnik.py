@@ -93,11 +93,16 @@ class BadSets:
     bad_left: tuple[int, ...]  # subset of S, in S's enumeration order
 
 
-def _edge_loads(G: BipartiteGraph, S: EnumerableSet) -> np.ndarray:
-    """Per right vertex, the number of S-edges landing there (multiplicity)."""
-    if len(S) == 0:
-        return np.zeros(G.M, dtype=np.int64)
-    return G.hist[list(S.order)].sum(axis=0)
+def _member_rows(G: BipartiteGraph, S: EnumerableSet) -> np.ndarray:
+    """Adjacency rows of S's members in enumeration order, shape (|S|, D),
+    once every member is known to be a left vertex of G."""
+    order = np.array(S.order, dtype=np.int64)
+    outside = (order < 0) | (order >= G.N)
+    if outside.any():
+        raise DimensionError(
+            f"vertex {order[outside.argmax()]} of the set is outside the left side [0, {G.N})"
+        )
+    return G.adjacency[order]
 
 
 def compute_bad(G: BipartiteGraph, S: EnumerableSet, K: int, rule: str) -> BadSets:
@@ -112,16 +117,16 @@ def compute_bad(G: BipartiteGraph, S: EnumerableSet, K: int, rule: str) -> BadSe
         raise DimensionError(f"rule {rule!r} not one of {RULES}")
     if K < len(S):
         raise DimensionError(f"K={K} below |S|={len(S)}")
-    loads = _edge_loads(G, S)
-    bad_right = frozenset(
-        int(z) for z in np.nonzero(loads * G.M > 2 * G.D * K)[0]
+    rows = _member_rows(G, S)
+    # load per right vertex: the number of S-edges landing there
+    overloaded = np.bincount(rows.ravel(), minlength=G.M) * G.M > 2 * G.D * K
+    hits = overloaded[rows].sum(axis=1)
+    stuck = hits == G.D if rule == "all" else 2 * hits >= G.D
+    return BadSets(
+        rule=rule,
+        bad_right=frozenset(np.flatnonzero(overloaded).tolist()),
+        bad_left=tuple(a for a, s in zip(S.order, stuck) if s),
     )
-    bad_left = []
-    for a in S.order:
-        hits = sum(1 for z in G.adjacency[a] if int(z) in bad_right)
-        if (rule == "all" and hits == G.D) or (rule == "majority" and 2 * hits >= G.D):
-            bad_left.append(a)
-    return BadSets(rule=rule, bad_right=bad_right, bad_left=tuple(bad_left))
 
 
 @dataclass(frozen=True)
@@ -235,8 +240,8 @@ def _least_good(G: BipartiteGraph, a: int, bad_right: frozenset[int]) -> int:
 
 def _adjacent_members(G: BipartiteGraph, S: EnumerableSet, X: int) -> list[int]:
     """The members of S with an edge to X, in S's enumeration order."""
-    order = np.array(S.order, dtype=np.int64)
-    return order[(G.adjacency[order] == X).any(axis=1)].tolist()
+    hit = (_member_rows(G, S) == X).any(axis=1)
+    return [S.order[i] for i in np.flatnonzero(hit)]
 
 
 def decode(G: BipartiteGraph, S: EnumerableSet, X: int, idx: int) -> int:

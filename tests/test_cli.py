@@ -519,3 +519,25 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "verdict=pass" in proc.stdout
+
+
+@pytest.mark.parametrize("kind", ["extractor", "disperser"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_verify_graph_nonpositive_k_exits_2(capsys, tmp_path, kind, k):
+    path = graph_file(tmp_path, pass_through_graph(4, 4))
+    code, out, err = run(capsys, "verify-graph", "--kind", kind, "--graph", path,
+                         "--k", k, "--eps", "1/4")
+    assert code == 2
+    assert err == f"error: K={k} outside 1..N for left size N=4\n"
+    assert out.startswith("# subcommand=verify-graph") and "verdict" not in out
+
+
+@pytest.mark.parametrize("members, bad", [("0 9\n", "9"), ("0 -1\n", "-1")])
+def test_muchnik_demo_vertex_outside_graph_exits_2(capsys, tmp_path, members, bad):
+    gpath = write_lines(tmp_path / "g.txt", MUCHNIK_GRAPH)
+    spath = write_lines(tmp_path / "s.txt", members)
+    code, out, err = run(capsys, "muchnik-demo", "--graph", gpath,
+                         "--set", spath, "--k", "2", "--eps", "1/4")
+    assert code == 2
+    assert err == f"error: vertex {bad} of the set is outside the left side [0, 4)\n"
+    assert "A=" not in out

@@ -373,3 +373,31 @@ class TestGraphFile:
     def test_bad_header(self):
         with pytest.raises(FormatError, match="line 1"):
             read_graph(io.StringIO("2 2\n"))
+
+
+class TestFlatSizeGuard:
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_nonpositive_K_is_a_dimension_error(self, K):
+        G = passthrough(2)
+        checks = (
+            lambda: verify_extractor(G, K, Fraction(1, 4)),
+            lambda: verify_disperser(G, K, Fraction(1, 4)),
+            lambda: worst_flat_distance(G, K),
+        )
+        for check in checks:
+            with pytest.raises(DimensionError, match=rf"^K={K} outside 1\.\.N for left size N=4$"):
+                check()
+
+    def test_K_above_N(self):
+        G = passthrough(1)
+        for check in (verify_extractor, verify_disperser):
+            with pytest.raises(DimensionError, match=r"^K=3 outside 1\.\.N for left size N=2$"):
+                check(G, 3, Fraction(1, 4))
+        with pytest.raises(DimensionError, match=r"^K=3 outside 1\.\.N for left size N=2$"):
+            worst_flat_distance(G, 3)
+
+    def test_K_one_and_N_are_accepted(self):
+        G = passthrough(1)
+        assert verify_extractor(G, 1, Fraction(1, 2)).ok
+        assert verify_disperser(G, 2, Fraction(1, 2)).ok
+        assert worst_flat_distance(G, 1) == ((0,), Fraction(0))

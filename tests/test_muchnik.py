@@ -487,3 +487,38 @@ def test_chain_sizes_never_grow():
         sizes = result.level_sizes
         assert all(sizes[i + 1] <= sizes[i] for i in range(len(sizes) - 1))
         assert set(result.assignment) == set(S.order)
+
+
+@pytest.mark.parametrize("order, bad", [((0, 9), 9), ((0, -1), -1), ((4, -2), 4)])
+def test_set_members_outside_the_left_side_are_named(order, bad):
+    G = BipartiteGraph(4, 4, 3, [[0, 0, 2], [0, 0, 3], [0, 0, 1], [1, 2, 3]])
+    S = EnumerableSet(order)
+    text = rf"^vertex {bad} of the set is outside the left side \[0, 4\)$"
+    checks = (
+        lambda: compute_bad(G, S, 4, "all"),
+        lambda: compute_bad(G, S, 4, "majority"),
+        lambda: decode(G, S, 0, 0),
+        lambda: neighbor_rank(G, S, 0, order[0]),
+        lambda: muchnik_encode(G, S, order[0], "all", 4),
+        lambda: iterative_chain([G], S),
+    )
+    for check in checks:
+        with pytest.raises(DimensionError, match=text):
+            check()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_compute_bad_matches_naive_on_multigraphs(data):
+    N, M, D = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6)), data.draw(st.integers(0, 4))
+    rows = data.draw(st.lists(st.lists(st.integers(0, M - 1), min_size=D, max_size=D),
+                              min_size=N, max_size=N))
+    G = BipartiteGraph(N, M, D, rows)
+    order = data.draw(st.lists(st.integers(0, N - 1), unique=True, max_size=N))
+    S = EnumerableSet(tuple(order))
+    K = len(order) + data.draw(st.integers(0, 3))
+    for rule in ("all", "majority"):
+        bad = compute_bad(G, S, K, rule)
+        want_right, want_left = naive_bad_sets(G, S, K, rule)
+        assert bad.bad_right == frozenset(want_right)
+        assert bad.bad_left == want_left
