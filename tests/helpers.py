@@ -13,7 +13,11 @@ from itertools import combinations
 import numpy as np
 
 from extrakit import BipartiteGraph, BitString, sample_graph
-from extrakit.errors import EntropyDeficitError
+from extrakit.errors import (
+    DimensionError,
+    EntropyDeficitError,
+    InvalidDistributionError,
+)
 
 
 def adjacency_lists(G: BipartiteGraph) -> list[list[int]]:
@@ -237,3 +241,92 @@ def collision_measure_oracle(X):
         return sum(p * p for p in X.probs)
     arr = np.asarray(X.probs)
     return float(np.dot(arr, arr))
+
+
+# ---------------------------------------------------------------------------
+# somewhere-random oracles: the Fraction-row bodies of
+# ``SomewhereRandomSource``, ``check_somewhere_random`` and
+# ``merger_output_dist`` from before the source stored integer weights.
+# They take the rows (``rows[y][z]``: mass of selector y and contents z)
+# and the source's b, k, eps, eta as plain values.
+
+
+def srs_rows_oracle(b: int, k: int, probs) -> tuple:
+    """The rows as Fractions, raising the constructor's errors."""
+    size = 1 << (b * k)
+    rows = tuple(tuple(Fraction(p) for p in row) for row in probs)
+    if len(rows) != b + 1 or any(len(r) != size for r in rows):
+        raise DimensionError(f"need {b + 1} selector rows of {size} entries each")
+    if any(p < 0 for r in rows for p in r):
+        raise InvalidDistributionError("negative mass in somewhere-random source")
+    if sum(p for r in rows for p in r) != 1:
+        raise InvalidDistributionError("somewhere-random masses must sum to 1")
+    return rows
+
+
+def selector_mass_oracle(rows, y: int) -> Fraction:
+    return sum(rows[y])
+
+
+def block_given_selector_oracle(rows, b: int, k: int, i: int) -> list:
+    """Probabilities of block Z_i (1-based) given Y = i."""
+    mass = selector_mass_oracle(rows, i)
+    if mass == 0:
+        raise InvalidDistributionError(f"selector never takes value {i}")
+    acc = [Fraction(0)] * (1 << k)
+    shift = (b - i) * k
+    maskk = (1 << k) - 1
+    for z, p in enumerate(rows[i]):
+        if p:
+            acc[(z >> shift) & maskk] += p / mass
+    return acc
+
+
+def contents_oracle(rows) -> list:
+    """Probabilities of the block contents with the selector dropped."""
+    acc = [Fraction(0)] * len(rows[0])
+    for row in rows:
+        for z, p in enumerate(row):
+            if p:
+                acc[z] += p
+    return acc
+
+
+def check_somewhere_random_oracle(rows, b: int, k: int, eps, eta) -> tuple:
+    """``(ok, witness, note)`` of the selector check."""
+    if selector_mass_oracle(rows, 0) > eta:
+        return False, 0, "no-good-block mass exceeds eta"
+    u = Fraction(1, 1 << k)
+    for i in range(1, b + 1):
+        if selector_mass_oracle(rows, i) == 0:
+            continue
+        block = block_given_selector_oracle(rows, b, k, i)
+        if sum(abs(p - u) for p in block) / 2 > eps:
+            return False, i, f"block {i} too far from uniform"
+    return True, None, ""
+
+
+def merger_output_oracle(M, rows, b: int, k: int) -> list:
+    """Output probabilities of merger M on the source with a uniform seed."""
+    if M.arity != b or M.k != k:
+        raise DimensionError(f"merger {M!r} does not fit {b} blocks of {k} bits")
+    acc = [Fraction(0)] * (1 << M.m)
+    seed_w = Fraction(1, 1 << M.d)
+    maskk = (1 << k) - 1
+    for row in rows:
+        for z, p in enumerate(row):
+            if p == 0:
+                continue
+            blocks = [BitString(k, (z >> ((b - 1 - i) * k)) & maskk) for i in range(b)]
+            w = p * seed_w
+            for yv in range(1 << M.d):
+                acc[M(blocks, BitString(M.d, yv)).value] += w
+    return acc
+
+
+def hist_oracle(G: BipartiteGraph) -> np.ndarray:
+    """``hist`` one row at a time: edge counts from x to each right vertex."""
+    h = np.zeros((G.N, G.M), dtype=np.int64)
+    for x in range(G.N):
+        h[x] = np.bincount(G.adjacency[x], minlength=G.M)
+    return h

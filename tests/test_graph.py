@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from extrakit import (
     BipartiteGraph,
@@ -28,6 +28,7 @@ from extrakit.errors import BudgetExceededError, DimensionError, FormatError
 from helpers import (
     adjacency_lists,
     disperser_witness_oracle,
+    hist_oracle,
     naive_disperser_ok,
     naive_extractor_ok,
     naive_flat_distance,
@@ -401,3 +402,25 @@ class TestFlatSizeGuard:
         assert verify_extractor(G, 1, Fraction(1, 2)).ok
         assert verify_disperser(G, 2, Fraction(1, 2)).ok
         assert worst_flat_distance(G, 1) == ((0,), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# the edge-count matrix
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 7), st.integers(0, 5), st.data())
+@example(0, 3, 2, None)
+@example(4, 3, 0, None)
+@example(3, 1, 4, None)
+def test_hist_matches_row_oracle(N, M, D, data):
+    # small M forces multi-edges; N = 0 and D = 0 give empty adjacency
+    if data is None:
+        adj = [0] * (N * D)
+    else:
+        adj = data.draw(st.lists(st.integers(0, M - 1), min_size=N * D, max_size=N * D))
+    G = BipartiteGraph(N, M, D, adj)
+    H = G.hist
+    assert H.shape == (N, M) and H.dtype == np.int64 and not H.flags.writeable
+    assert np.array_equal(H, hist_oracle(G))
+    assert G.hist is H
