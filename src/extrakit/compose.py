@@ -9,17 +9,22 @@ program over suffix cells, which reuses each row instead of recomputing
 the exponential recursion tree.
 
 Everything here is exact bit pushing; the statistical guarantees are
-measured by the tests on dense toy sources, not assumed.
+measured by the tests on dense toy sources, not assumed.  A
+somewhere-random source stores its masses the way :class:`Dist` does,
+as Python-int weights over one total, and a merger's output
+distribution is the push-forward of the source's block contents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .bits import BitString, concat
-from .dist import Dist, SeededFunction, as_fraction, min_entropy, stat_dist
+from .bits import BitString
+from .dist import (
+    Dist, SeededFunction, _over_lcm, as_fraction, min_entropy, push_forward, stat_dist,
+)
 from .errors import DimensionError, InvalidDistributionError, Verdict
 
 __all__ = [
@@ -108,73 +113,62 @@ def _meets_min_entropy(X: Dist, k) -> bool:
     return min_entropy(X) >= float(k) - 1e-12
 
 
-@dataclass(frozen=True)
 class SomewhereRandomSource:
     """b blocks of k bits with an explicit selector Y in {0..b}.
 
-    ``probs[y][z]`` is the joint mass of selector value y and block
-    contents z (z packs Z_1..Z_b, first block most significant).  Y = i
-    >= 1 claims block i is eps-close to uniform under that conditioning;
-    Y = 0 ("no good block") carries at most eta mass.
+    ``weights[y, z] / total`` is the joint mass of selector value y and
+    block contents z (z packs Z_1..Z_b, first block most significant):
+    ``weights`` is a (b+1, 2^(b*k)) object array of Python ints and
+    ``total`` the lcm of the input denominators, so sums stay exact.
+    ``probs[y][z]`` reads the same masses back as rows of Fractions.
+    Y = i >= 1 claims block i is eps-close to uniform under that
+    conditioning; Y = 0 ("no good block") carries at most eta mass.
     """
 
-    b: int
-    k: int
-    probs: tuple
-    eps: Fraction = Fraction(0)
-    eta: Fraction = Fraction(0)
+    __slots__ = ("b", "k", "weights", "total", "eps", "eta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "eps", as_fraction(self.eps))
-        object.__setattr__(self, "eta", as_fraction(self.eta))
-        size = 1 << (self.b * self.k)
-        rows = tuple(tuple(Fraction(p) for p in row) for row in self.probs)
-        if len(rows) != self.b + 1 or any(len(r) != size for r in rows):
-            raise DimensionError(
-                f"need {self.b + 1} selector rows of {size} entries each"
-            )
-        if any(p < 0 for r in rows for p in r):
+    def __init__(self, b: int, k: int, probs, eps=Fraction(0), eta=Fraction(0)):
+        self.b, self.k = b, k
+        self.eps, self.eta = as_fraction(eps), as_fraction(eta)
+        size = 1 << (b * k)
+        rows = [[Fraction(p) for p in row] for row in probs]
+        if len(rows) != b + 1 or any(len(r) != size for r in rows):
+            raise DimensionError(f"need {b + 1} selector rows of {size} entries each")
+        weights, self.total = _over_lcm([p for r in rows for p in r])
+        if (weights < 0).any():
             raise InvalidDistributionError("negative mass in somewhere-random source")
-        if sum(p for r in rows for p in r) != 1:
+        if weights.sum() != self.total:
             raise InvalidDistributionError("somewhere-random masses must sum to 1")
-        object.__setattr__(self, "probs", rows)
+        self.weights = weights.reshape(b + 1, size)
+
+    @property
+    def probs(self) -> tuple:
+        return tuple(tuple(Fraction(w, self.total) for w in row) for row in self.weights)
 
     def selector_mass(self, y: int) -> Fraction:
-        return sum(self.probs[y])
-
-    def block_given_selector(self, i: int) -> Dist:
-        """Distribution of block Z_i conditioned on Y = i (1-based block)."""
-        mass = self.selector_mass(i)
-        if mass == 0:
-            raise InvalidDistributionError(f"selector never takes value {i}")
-        acc = [Fraction(0)] * (1 << self.k)
-        shift = (self.b - i) * self.k
-        maskk = (1 << self.k) - 1
-        for z, p in enumerate(self.probs[i]):
-            if p:
-                acc[(z >> shift) & maskk] += p / mass
-        return Dist(self.k, acc, exact=True)
+        return Fraction(self.weights[y].sum(), self.total)
 
     def contents_dist(self) -> Dist:
         """Marginal distribution of the block contents (selector dropped)."""
-        size = 1 << (self.b * self.k)
-        acc = [Fraction(0)] * size
-        for row in self.probs:
-            for z, p in enumerate(row):
-                if p:
-                    acc[z] += p
-        return Dist(self.b * self.k, acc, exact=True)
+        return Dist._of(self.b * self.k, self.weights.sum(axis=0), self.total)
 
 
 def check_somewhere_random(s: SomewhereRandomSource) -> Verdict:
-    """Exact check of the selector guarantees; witness is the block index."""
+    """Exact check of the selector guarantees; witness is the block index.
+
+    Block Z_i given Y = i is row i of ``s.weights`` summed over the blocks
+    before and after Z_i, over that row's total.
+    """
     if s.selector_mass(0) > s.eta:
         return Verdict(False, witness=0, note="no-good-block mass exceeds eta")
     uniform = Dist.uniform(s.k)
     for i in range(1, s.b + 1):
-        if s.selector_mass(i) == 0:
+        # axes: the blocks before Z_i, Z_i, the blocks after it
+        row = s.weights[i].reshape(1 << (i - 1) * s.k, 1 << s.k, -1)
+        mass = row.sum()
+        if mass == 0:
             continue
-        if stat_dist(s.block_given_selector(i), uniform) > s.eps:
+        if stat_dist(Dist._of(s.k, row.sum(axis=(0, 2)), mass), uniform) > s.eps:
             return Verdict(False, witness=i, note=f"block {i} too far from uniform")
     return Verdict(True)
 
@@ -374,24 +368,15 @@ def iterated_compose_dp(
 
 def merger_output_dist(M: Merger, s: SomewhereRandomSource) -> Dist:
     """Exact output distribution of a merger on a somewhere-random source
-    with an independent uniform seed."""
+    with an independent uniform seed: the push-forward of the block
+    contents through the merger, read as a map on b*k-bit words."""
     if M.arity != s.b or M.k != s.k:
         raise DimensionError(
             f"merger {M!r} does not fit {s.b} blocks of {s.k} bits"
         )
-    acc = [Fraction(0)] * (1 << M.m)
-    seed_w = Fraction(1, 1 << M.d)
-    maskk = (1 << s.k) - 1
-    for row in s.probs:
-        for z, p in enumerate(row):
-            if p == 0:
-                continue
-            blocks = [
-                BitString(s.k, (z >> ((s.b - 1 - i) * s.k)) & maskk)
-                for i in range(s.b)
-            ]
-            w = p * seed_w
-            for yv in range(1 << M.d):
-                out = M(blocks, BitString(M.d, yv))
-                acc[out.value] += w
-    return Dist(M.m, acc, exact=True)
+    k = s.k
+
+    def fn(x: BitString, y: BitString) -> BitString:
+        return M([x.slice(i * k, (i + 1) * k) for i in range(s.b)], y)
+
+    return push_forward(SeededFunction(s.b * k, M.d, M.m, fn, name=M.name), s.contents_dist())

@@ -80,6 +80,13 @@ def _check_length(length: int, exact: bool) -> None:
         )
 
 
+def _over_lcm(vals: list[Fraction]) -> tuple[np.ndarray, int]:
+    """Fractions as Python-int weights (an object array) over the lcm of
+    their denominators: ``vals[i] == weights[i] / total``."""
+    total = math.lcm(*(v.denominator for v in vals))
+    return np.array([v.numerator * (total // v.denominator) for v in vals], dtype=object), total
+
+
 def _zeros(length: int, exact: bool) -> np.ndarray:
     """All-zero weights on ``{0,1}^length``: Python ints or float64."""
     _check_length(length, exact)
@@ -92,8 +99,9 @@ class Dist:
     String ``x`` has probability ``weights[x] / total``.  Exact backing: a
     numpy object array of Python ints over a positive int ``total`` (the
     lcm of the input denominators), so no sum overflows or rounds.  Float
-    backing: float64 ``weights`` over ``total = 1.0``.  ``exact`` is read
-    off the dtype; ``probs`` and ``prob`` hand out Fractions or floats.
+    backing: finite float64 ``weights`` over ``total = 1.0``.  ``exact``
+    is read off the dtype; ``probs`` and ``prob`` hand out Fractions or
+    floats.
     """
 
     __slots__ = ("length", "weights", "total")
@@ -111,8 +119,7 @@ class Dist:
                 )
             if any(p < 0 for p in vals):
                 raise InvalidDistributionError("negative probability")
-            total = math.lcm(*(v.denominator for v in vals))
-            weights = np.array([v.numerator * (total // v.denominator) for v in vals], dtype=object)
+            weights, total = _over_lcm(vals)
             if weights.sum() != total:
                 raise InvalidDistributionError(
                     f"probabilities sum to {Fraction(weights.sum(), total)}, not 1"
@@ -125,6 +132,8 @@ class Dist:
                 )
             if np.any(weights < 0):
                 raise InvalidDistributionError("negative probability")
+            if not np.isfinite(weights).all():
+                raise InvalidDistributionError("non-finite probability")
             mass = float(weights.sum())
             if abs(mass - 1.0) > tol:
                 raise InvalidDistributionError(
@@ -135,8 +144,10 @@ class Dist:
 
     @classmethod
     def _of(cls, length: int, weights: np.ndarray, total) -> "Dist":
-        """Wrap weights over ``total`` without re-validating them.  Int
-        (object) weights keep ``total``; float weights are divided by it."""
+        """Wrap weights over ``total`` without re-validating them, apart from
+        the length caps.  Int (object) weights keep ``total``; float weights
+        are divided by it."""
+        _check_length(length, weights.dtype == object)
         X = object.__new__(cls)
         if weights.dtype != object:
             weights, total = weights / total, 1.0
@@ -405,6 +416,8 @@ def read_dist(fp: TextIO) -> Dist:
         n = int(header.strip())
     except ValueError:
         raise FormatError(f"bad distribution header {header!r}", line=1) from None
+    if not 0 <= n <= MAX_LENGTH:
+        raise FormatError(f"distribution length {n} outside 0..{MAX_LENGTH}", line=1)
     size = 1 << n
     weights: list = [None] * size
     exact = True

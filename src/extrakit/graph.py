@@ -29,6 +29,7 @@ from .errors import (
 
 __all__ = [
     "DEFAULT_SUBSET_BUDGET",
+    "MAX_HIST_CELLS",
     "BipartiteGraph",
     "ExtractorSpec",
     "graph_of_function",
@@ -44,6 +45,9 @@ __all__ = [
 
 #: Default ceiling on the number of subsets a verifier may enumerate.
 DEFAULT_SUBSET_BUDGET = 1 << 20
+#: Ceiling on the cells N*M of :attr:`BipartiteGraph.hist` (int64, so
+#: 512 MB); a larger graph raises BudgetExceededError before allocating.
+MAX_HIST_CELLS = 1 << 26
 
 #: Right events in the first block of :func:`_least_failing_event`.  Blocks
 #: double up to 2^_LOW_BITS rows, so a failure among the first events stays
@@ -51,7 +55,7 @@ DEFAULT_SUBSET_BUDGET = 1 << 20
 _FIRST_BLOCK = 32
 _LOW_BITS = 7
 #: Subsets per batch in the left-set and right-set scans is
-#: ``max(_MIN_BATCH, _BATCH_CELLS // width)``: each batch's int64 arrays
+#: ``max(_MIN_BATCH, _BATCH_CELLS // width)``: each batch's 64-bit arrays
 #: stay far below a megabyte whatever the graph's width.
 _MIN_BATCH = 64
 _BATCH_CELLS = 4096
@@ -65,7 +69,7 @@ class BipartiteGraph:
     respect multiplicity, neighbor sets ``Γ(a)`` do not.
     """
 
-    __slots__ = ("N", "M", "D", "adjacency", "_hist", "_masks")
+    __slots__ = ("N", "M", "D", "adjacency", "_hist")
 
     def __init__(self, N: int, M: int, D: int, adjacency):
         if N < 0 or M <= 0 or D < 0:
@@ -83,31 +87,25 @@ class BipartiteGraph:
         self.adjacency = adj
         self.adjacency.setflags(write=False)
         self._hist = None
-        self._masks = None
 
     @property
     def hist(self) -> np.ndarray:
-        """(N, M) matrix: hist[x, z] = number of edges from x to z."""
+        """(N, M) matrix: hist[x, z] = number of edges from x to z.
+
+        One ``np.bincount`` over the cell indices ``x*M + z``; graphs with
+        more than :data:`MAX_HIST_CELLS` cells raise BudgetExceededError.
+        """
         if self._hist is None:
-            h = np.zeros((self.N, self.M), dtype=np.int64)
-            for x in range(self.N):
-                h[x] = np.bincount(self.adjacency[x], minlength=self.M)
+            N, M = self.N, self.M
+            if N * M > MAX_HIST_CELLS:
+                raise BudgetExceededError(
+                    f"hist of N*M = {N * M} cells exceeds budget {MAX_HIST_CELLS}"
+                )
+            cells = np.arange(N, dtype=np.int64)[:, None] * M + self.adjacency
+            h = np.bincount(cells.ravel(), minlength=N * M).reshape(N, M)
             h.setflags(write=False)
             self._hist = h
         return self._hist
-
-    @property
-    def neighbor_masks(self) -> list[int]:
-        """Per left vertex, the set Γ(x) packed as a bitmask over [M]."""
-        if self._masks is None:
-            masks = []
-            for x in range(self.N):
-                m = 0
-                for z in self.adjacency[x]:
-                    m |= 1 << int(z)
-                masks.append(m)
-            self._masks = masks
-        return self._masks
 
     def neighbors(self, x: int) -> frozenset[int]:
         return frozenset(int(z) for z in self.adjacency[x])
@@ -268,10 +266,12 @@ def verify_disperser(
     witness is ``(A, Y)`` with A the K smallest-index avoiding vertices and
     Y the first failing set in lexicographic order.
 
-    For M <= 62 the sets Y are taken in lexicographic batches of
-    ``max(64, 4096 // N)``: each Y becomes an int64 bitmask and one
-    ``(masks & ymask) == 0`` over the batch counts its avoiders.  Wider
-    graphs test one Y at a time on Python-int neighbor masks.
+    One scan serves every M.  Row z of a packed incidence, the transposed
+    ``hist > 0``, is the set of left vertices with an edge into z as a
+    bitmask in ``ceil(N/64)`` uint64 words.  The sets Y are taken in
+    lexicographic batches of ``max(64, 4096 // words)``; a batch ORs the
+    rows of each Y's members, and N minus the popcount is Y's number of
+    avoiders.
     """
     eps = as_fraction(eps)
     _check_flat_size(G, K)
@@ -282,26 +282,21 @@ def verify_disperser(
         raise BudgetExceededError(
             f"C({G.M},{L}) = {math.comb(G.M, L)} subsets exceed budget {max_subsets}"
         )
-    masks = G.neighbor_masks
-    if G.M <= 62:
-        marr = np.array(masks, dtype=np.int64)
-        rows = max(_MIN_BATCH, _BATCH_CELLS // max(G.N, 1))
-        for Ys in _combination_chunks(G.M, L, rows):
-            ymask = np.bitwise_or.reduce(np.left_shift(1, Ys), axis=1)
-            avoid = (marr & ymask[:, None]) == 0
-            hits = np.flatnonzero(avoid.sum(axis=1) >= K)
-            if hits.size:
-                r = hits[0]
-                A = np.flatnonzero(avoid[r])[:K]
-                return Verdict(False, witness=(tuple(A.tolist()), tuple(Ys[r].tolist())))
-        return Verdict(True, note=f"checked all C({G.M},{L}) right sets")
-    for Y in combinations(range(G.M), L):
-        ymask = 0
-        for z in Y:
-            ymask |= 1 << z
-        avoiding = [x for x in range(G.N) if masks[x] & ymask == 0]
-        if len(avoiding) >= K:
-            return Verdict(False, witness=(tuple(avoiding[:K]), Y))
+    W = -(-G.N // 64)
+    inc = np.zeros((G.M, 64 * W), dtype=bool)
+    inc[:, : G.N] = G.hist.T > 0
+    words = np.packbits(inc, axis=1).view(np.uint64)
+    for Ys in _combination_chunks(G.M, L, max(_MIN_BATCH, _BATCH_CELLS // W)):
+        hit = np.zeros((len(Ys), W), dtype=np.uint64)
+        for j in range(L):
+            hit |= words[Ys[:, j]]
+        avoiders = G.N - np.bitwise_count(hit).sum(axis=1, dtype=np.int64)
+        hits = np.flatnonzero(avoiders >= K)
+        if hits.size:
+            r = hits[0]
+            avoid = np.unpackbits(hit[r].view(np.uint8), count=G.N) == 0
+            A = np.flatnonzero(avoid)[:K]
+            return Verdict(False, witness=(tuple(A.tolist()), tuple(Ys[r].tolist())))
     return Verdict(True, note=f"checked all C({G.M},{L}) right sets")
 
 

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from extrakit import (
     BitString,
+    InvalidDistributionError,
     Merger,
     SomewhereRandomSource,
     check_somewhere_random,
@@ -275,3 +276,13 @@ class TestMergerOutput:
         got = outcome(merger_output_dist, M, s)
         assert got[0] == "error"
         assert got == outcome(merger_output_oracle, M, rows, 1, 1)
+
+
+def test_exact_length_cap_holds_for_blocks_and_contents():
+    # exact distributions stop at 16 bits; a 17-bit block or contents
+    # word raises the Dist error rather than yielding a wider exact Dist
+    n = 1 << 17
+    s = SomewhereRandomSource(1, 17, [[0] * n, [Fraction(1, n)] * n])
+    for call in (s.contents_dist, lambda: check_somewhere_random(s)):
+        with pytest.raises(InvalidDistributionError, match="only up to n = 16"):
+            call()

@@ -1,8 +1,10 @@
 """Distributions: exact/float duality, decomposition, push-forward."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +18,7 @@ from extrakit import (
     push_forward,
     stat_dist,
 )
-from extrakit.dist import read_dist, write_dist
+from extrakit.dist import MAX_LENGTH, read_dist, write_dist
 from extrakit.errors import (
     DimensionError,
     EntropyDeficitError,
@@ -206,3 +208,41 @@ class TestDistFile:
     def test_bad_header(self):
         with pytest.raises(FormatError, match="line 1"):
             read_dist(io.StringIO("nope\n"))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_float_dist_rejects_non_finite_weights(self, bad):
+        for probs in ([bad, bad], [bad, 0.5], [0.5, bad]):
+            with pytest.raises(InvalidDistributionError, match="non-finite probability"):
+                Dist(1, probs)
+        with pytest.raises(InvalidDistributionError, match="non-finite probability"):
+            Dist(2, np.array([0.25, 0.25, bad, 0.25]), exact=False)
+
+    def test_negative_infinity_is_a_negative_probability(self):
+        with pytest.raises(InvalidDistributionError, match="negative probability"):
+            Dist(1, [float("-inf"), 0.5])
+
+
+class TestDistHeader:
+    @pytest.mark.parametrize("header", ["-1", "25", "40", "2.5", "x", ""])
+    def test_header_checked_before_allocating(self, header):
+        # the header alone must fail on line 1: a 2^25-entry table is never
+        # built, and -1 or 40 give no bare ValueError or MemoryError
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as exc:
+                read_dist(io.StringIO(header + "\n"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.line == 1
+        assert peak < 1 << 20
+
+    def test_length_bounds_are_accepted(self):
+        assert MAX_LENGTH == 24
+        with pytest.raises(FormatError, match="line 2: unexpected end"):
+            read_dist(io.StringIO("24\n"))
+        buf = io.StringIO()
+        write_dist(Dist(0, [Fraction(1)]), buf)
+        assert read_dist(io.StringIO(buf.getvalue())) == Dist(0, [Fraction(1)])

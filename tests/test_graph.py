@@ -22,6 +22,8 @@ from extrakit import (
     verify_prefix_extractor,
     worst_flat_distance,
 )
+from extrakit import graph as graph_module
+from extrakit.cli import main as cli_main
 from extrakit.graph import read_graph, write_graph
 from extrakit.errors import BudgetExceededError, DimensionError, FormatError
 
@@ -424,3 +426,29 @@ def test_hist_matches_row_oracle(N, M, D, data):
     assert H.shape == (N, M) and H.dtype == np.int64 and not H.flags.writeable
     assert np.array_equal(H, hist_oracle(G))
     assert G.hist is H
+
+
+def test_hist_budget_boundary(monkeypatch):
+    monkeypatch.setattr(graph_module, "MAX_HIST_CELLS", 12)
+    assert graph_module.MAX_HIST_CELLS == 12
+    assert BipartiteGraph(3, 4, 2, np.zeros((3, 2), dtype=np.int64)).hist.sum() == 6
+    G = BipartiteGraph(3, 5, 2, np.zeros((3, 2), dtype=np.int64))
+    with pytest.raises(BudgetExceededError, match=r"N\*M = 15 cells exceeds budget 12"):
+        G.hist
+
+
+def test_oversized_hist_refused_before_allocating(capsys, tmp_path):
+    # N*M = 2^30 cells would be 8 GB of int64; the guard fires first
+    N, M = 1 << 10, 1 << 20
+    G = BipartiteGraph(N, M, 1, np.arange(N, dtype=np.int64))
+    with pytest.raises(BudgetExceededError, match="hist"):
+        worst_flat_distance(G, 1)
+    with pytest.raises(BudgetExceededError, match="hist"):
+        verify_disperser(G, 1, Fraction(1, 2**20))
+    path = tmp_path / "wide.txt"
+    with path.open("w") as fp:
+        write_graph(G, fp)
+    code = cli_main(["verify-graph", "--kind", "disperser", "--graph", str(path),
+                     "--k", "1", "--eps", f"1/{2**20}"])
+    assert code == 2
+    assert "exceeds budget" in capsys.readouterr().err
