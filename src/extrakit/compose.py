@@ -154,11 +154,7 @@ class SomewhereRandomSource:
 
 
 def check_somewhere_random(s: SomewhereRandomSource) -> Verdict:
-    """Exact check of the selector guarantees; witness is the block index.
-
-    Block Z_i given Y = i is row i of ``s.weights`` summed over the blocks
-    before and after Z_i, over that row's total.
-    """
+    """Exact check of the selector guarantees; witness is the block index."""
     if s.selector_mass(0) > s.eta:
         return Verdict(False, witness=0, note="no-good-block mass exceeds eta")
     uniform = Dist.uniform(s.k)

@@ -199,7 +199,7 @@ class TestSource:
         assert list(merger_output_dist(M, s).probs) == merger_output_oracle(M, rows, 2, 1)
 
 
-def _malformed(rows, b, k, kind):
+def _malformed(rows, kind):
     """``rows`` damaged one way; ``kind`` 0 leaves them as they are."""
     rows = [list(r) for r in rows]
     if kind == 1:
@@ -227,7 +227,7 @@ def _malformed(rows, b, k, kind):
 @given(sources(), st.integers(0, 9))
 def test_constructor_errors_match_oracle(src, kind):
     b, k, rows, eps, eta = src
-    bad = _malformed(rows, b, k, kind)
+    bad = _malformed(rows, kind)
     got = outcome(lambda: SomewhereRandomSource(b, k, bad, eps=eps, eta=eta).probs)
     assert got == outcome(srs_rows_oracle, b, k, bad)
 

@@ -430,7 +430,6 @@ def test_hist_matches_row_oracle(N, M, D, data):
 
 def test_hist_budget_boundary(monkeypatch):
     monkeypatch.setattr(graph_module, "MAX_HIST_CELLS", 12)
-    assert graph_module.MAX_HIST_CELLS == 12
     assert BipartiteGraph(3, 4, 2, np.zeros((3, 2), dtype=np.int64)).hist.sum() == 6
     G = BipartiteGraph(3, 5, 2, np.zeros((3, 2), dtype=np.int64))
     with pytest.raises(BudgetExceededError, match=r"N\*M = 15 cells exceeds budget 12"):
