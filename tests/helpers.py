@@ -6,6 +6,7 @@ histogram/verifier internals, so a bug on either side shows up as a
 disagreement rather than agreeing with itself.
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -14,6 +15,7 @@ import numpy as np
 
 from extrakit import BipartiteGraph, BitString, sample_graph
 from extrakit.errors import (
+    BudgetExceededError,
     DimensionError,
     EntropyDeficitError,
     InvalidDistributionError,
@@ -330,3 +332,155 @@ def hist_oracle(G: BipartiteGraph) -> np.ndarray:
     for x in range(G.N):
         h[x] = np.bincount(G.adjacency[x], minlength=G.M)
     return h
+
+
+# ---------------------------------------------------------------------------
+# construction oracles: the loop bodies of ``ecc.Code``, ``ecc.encode``,
+# ``ecc.brute_list_decode``, ``design.greedy_weak_design``,
+# ``design.verify_design`` and ``trevisan.trevisan_graph`` from before
+# codes and designs were built with numpy kernels.
+
+
+@functools.lru_cache(maxsize=None)
+def hadamard_rows_oracle(t: int) -> tuple:
+    """Inner rows built one bit at a time: row v packs parity(v & z) for
+    z ascending, the first z in the most significant bit."""
+    width = 1 << t
+    rows = []
+    for v in range(width):
+        block = 0
+        for z in range(width):
+            block = (block << 1) | ((v & z).bit_count() & 1)
+        rows.append(block)
+    return tuple(rows)
+
+
+def encode_value_oracle(code, xv: int) -> int:
+    """Codeword of message value xv: Horner per field point, then the inner
+    rows shift-or'ed onto one growing integer."""
+    x = BitString(code.n, xv)
+    syms = [x.slice(j * code.t, min(j * code.t + code.t, code.n)).value
+            for j in range(code.symbols)]
+    inner = hadamard_rows_oracle(code.t)
+    width = code.field.order
+    cw = 0
+    for p in range(width):
+        cw = (cw << width) | inner[code.field.poly_eval(syms, p)]
+    return cw
+
+
+def brute_list_decode_oracle(code, center: BitString, radius=None,
+                             max_message_bits: int = 14) -> list:
+    """Every message whose codeword is within relative ``radius`` of center,
+    one message at a time."""
+    if center.length != code.nbar:
+        raise DimensionError(
+            f"center has {center.length} bits, codewords have {code.nbar}"
+        )
+    if code.n > max_message_bits:
+        raise BudgetExceededError(
+            f"2^{code.n} messages exceed the enumeration budget 2^{max_message_bits}"
+        )
+    radius = Fraction(1, 2) - code.delta if radius is None else Fraction(radius)
+    out = []
+    for xv in range(1 << code.n):
+        distance = (encode_value_oracle(code, xv) ^ center.value).bit_count()
+        if distance * radius.denominator <= radius.numerator * code.nbar:
+            out.append(BitString(code.n, xv))
+    return out
+
+
+def _overlap_oracle(a, b) -> int:
+    return len(set(a) & set(b))
+
+
+def verify_design_oracle(family, kind: str, rho) -> tuple:
+    """``(ok, witness, note)`` of the overlap check, pair by pair."""
+    rho = Fraction(rho)
+    sets, m = family.sets, family.m
+    if kind == "design":
+        for j in range(1, m):
+            for i in range(j):
+                if (1 << _overlap_oracle(sets[i], sets[j])) > rho:
+                    return False, (i + 1, j + 1), ""
+        return True, None, f"all {m * (m - 1) // 2} pairs within 2^|overlap| <= {rho}"
+    for j in range(1, m):
+        total = sum(1 << _overlap_oracle(sets[i], sets[j]) for i in range(j))
+        budget = rho * (m - 1) if kind == "weak" else rho * j
+        if total > budget:
+            return False, j + 1, f"sum {total} > {budget}"
+    return True, None, f"all {m} running sums within budget"
+
+
+def build_block_oracle(count: int, l: int, universe: list) -> list:
+    """Greedy block: each pick minimises the sum over earlier same-block
+    sets of 2^|overlap with the partial set|, recomputed per candidate;
+    ties go to the smallest element."""
+    sets = []
+    containing = {e: [] for e in universe}
+    for _ in range(count):
+        chosen = []
+        inter = [0] * len(sets)
+        for _pick in range(l):
+            best_e, best_cost = None, None
+            for e in universe:
+                if e in chosen:
+                    continue
+                cost = sum(1 << inter[i] for i in containing[e])
+                if best_cost is None or cost < best_cost:
+                    best_e, best_cost = e, cost
+            chosen.append(best_e)
+            for i in containing[best_e]:
+                inter[i] += 1
+        new = tuple(sorted(chosen))
+        for e in new:
+            containing[e].append(len(sets))
+        sets.append(new)
+    return sets
+
+
+def greedy_weak_design_oracle(l: int, m: int, rho=1):
+    """The greedy weak design built from :func:`build_block_oracle`, as
+    ``(d, sets)``."""
+    rho = Fraction(rho)
+    budget = rho * (m - 1)
+    sizes, rest = [], m
+    while rest > 0:
+        take = (rest + 1) // 2 if rest > 1 else 1
+        sizes.append(take)
+        rest -= take
+    all_sets, next_elem = [], 0
+    for bsize in sizes:
+        placed = len(all_sets)
+        u = max(l, min(l * bsize, (3 * l * l + 1) // 2))
+        while True:
+            block = build_block_oracle(bsize, l, list(range(next_elem, next_elem + u)))
+            if all(placed + sum(1 << _overlap_oracle(block[i], s) for i in range(t)) <= budget
+                   for t, s in enumerate(block)):
+                break
+            assert u < l * bsize, "greedy block failed on a disjoint universe"
+            u = min(2 * u, l * bsize)
+        all_sets.extend(block)
+        next_elem += u
+    used = sorted({e for s in all_sets for e in s})
+    remap = {e: i for i, e in enumerate(used)}
+    return len(used), tuple(tuple(remap[e] for e in s) for s in all_sets)
+
+
+def trevisan_graph_oracle(p, strong: bool = False) -> np.ndarray:
+    """Adjacency of the Trevisan graph, one source word at a time: bit i of
+    the output is the codeword bit at the seed restricted to set i."""
+    nbar = p.code.nbar
+    D = 1 << p.d
+    adj = np.zeros((1 << p.n, D), dtype=np.int64)
+    for xv in range(1 << p.n):
+        cw = encode_value_oracle(p.code, xv)
+        for yv in range(D):
+            out = 0
+            for s in p.design.sets:
+                v = 0
+                for pos in s:
+                    v = (v << 1) | ((yv >> (p.d - 1 - pos)) & 1)
+                out = (out << 1) | ((cw >> (nbar - 1 - v)) & 1)
+            adj[xv, yv] = (yv << p.m) | out if strong else out
+    return adj
