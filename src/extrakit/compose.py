@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from .bits import BitString
 from .dist import (
-    Dist, SeededFunction, _over_lcm, as_fraction, min_entropy, push_forward, stat_dist,
+    Dist, SeededFunction, _exact, _over_lcm, as_fraction, min_entropy, push_forward, stat_dist,
 )
 from .errors import DimensionError, InvalidDistributionError, Verdict
 
@@ -131,7 +131,7 @@ class SomewhereRandomSource:
         self.b, self.k = b, k
         self.eps, self.eta = as_fraction(eps), as_fraction(eta)
         size = 1 << (b * k)
-        rows = [[Fraction(p) for p in row] for row in probs]
+        rows = [[_exact(p) for p in row] for row in probs]
         if len(rows) != b + 1 or any(len(r) != size for r in rows):
             raise DimensionError(f"need {b + 1} selector rows of {size} entries each")
         weights, self.total = _over_lcm([p for r in rows for p in r])

@@ -19,9 +19,11 @@ fresh elements always suffice for pairwise-disjoint sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, TextIO
+from typing import TextIO
+
+import numpy as np
 
 from .dist import as_fraction
 from .errors import DimensionError, FeasibilityError, FormatError, Verdict
@@ -66,8 +68,27 @@ class DesignFamily:
         return f"DesignFamily(d={self.d}, l={self.l}, m={self.m})"
 
 
-def _overlap(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return len(set(a) & set(b))
+def _sum_dtype(l: int, m: int):
+    """int64 while a sum of m terms 2^(<= l) always fits, else Python ints."""
+    return np.int64 if l + m.bit_length() < 63 else object
+
+
+def _overlap_powers(sets: np.ndarray, d: int) -> np.ndarray:
+    """P[i, j] = 2^|S_i n S_j| for the rows of ``sets`` (m, l) over [d].
+
+    The overlaps are the incidence product inc @ inc.T, formed by
+    gathering each set's columns of inc and summing them.
+    """
+    m, l = sets.shape
+    inc = np.zeros((m, d), dtype=np.uint8)
+    inc[np.arange(m)[:, np.newaxis], sets] = 1
+    overlap = inc[:, sets].sum(axis=2, dtype=_sum_dtype(l, m))
+    return np.left_shift(1, overlap, out=overlap)
+
+
+def _running_sums(powers: np.ndarray) -> np.ndarray:
+    """sums[j] = sum over i < j of powers[i, j]."""
+    return np.tril(powers, -1).sum(axis=1)
 
 
 def verify_design(family: DesignFamily, kind: str, rho) -> Verdict:
@@ -77,59 +98,57 @@ def verify_design(family: DesignFamily, kind: str, rho) -> Verdict:
     weak:          every j has sum_{i<j} 2^|S_i n S_j| <= rho*(m-1)  (witness j)
     uniform-weak:  every j has sum_{i<j} 2^|S_i n S_j| <= rho*(j-1)  (witness j)
 
-    Indices in witnesses are 1-based to match the S_1..S_m naming.
+    Indices in witnesses are 1-based to match the S_1..S_m naming.  All
+    three kinds read one matrix of overlap powers; an integer exceeds a
+    rational bound exactly when it exceeds the bound's floor.
     """
     if kind not in KINDS:
         raise DimensionError(f"kind {kind!r} not one of {KINDS}")
     rho = as_fraction(rho)
-    sets, m = family.sets, family.m
+    m = family.m
+    sets = np.array(family.sets, dtype=np.intp).reshape(m, family.l)
+    powers = _overlap_powers(sets, family.d)
     if kind == "design":
-        for j in range(1, m):
-            for i in range(j):
-                if (1 << _overlap(sets[i], sets[j])) > rho:
-                    return Verdict(False, witness=(i + 1, j + 1))
+        bad = np.flatnonzero(np.tril(powers > math.floor(rho), -1))
+        if bad.size:
+            j, i = divmod(int(bad[0]), m)
+            return Verdict(False, witness=(i + 1, j + 1))
         return Verdict(True, note=f"all {m * (m - 1) // 2} pairs within 2^|overlap| <= {rho}")
-    for j in range(1, m):
-        total = sum(1 << _overlap(sets[i], sets[j]) for i in range(j))
-        budget = rho * (m - 1) if kind == "weak" else rho * (j)
-        # uniform-weak budget uses the 1-based position: rho * (j_1based - 1) = rho * j
-        if total > budget:
-            return Verdict(False, witness=j + 1, note=f"sum {total} > {budget}")
+    sums = _running_sums(powers)
+    # 0-based j: the uniform-weak budget rho * (j_1based - 1) is rho * j
+    steps = np.arange(m, dtype=object) if kind == "uniform-weak" else np.full(m, m - 1, dtype=object)
+    bad = np.flatnonzero(sums[1:] > rho.numerator * steps[1:] // rho.denominator)
+    if bad.size:
+        j = int(bad[0]) + 1
+        return Verdict(False, witness=j + 1, note=f"sum {sums[j]} > {rho * steps[j]}")
     return Verdict(True, note=f"all {m} running sums within budget")
 
 
-def _build_block(
-    count: int,
-    l: int,
-    universe: list[int],
-) -> list[tuple[int, ...]]:
-    """Greedily pick `count` l-sets from `universe`, minimizing potential.
+def _build_block(count: int, l: int, u: int) -> np.ndarray:
+    """Greedily pick `count` l-subsets of range(u), minimizing potential.
 
     Each element choice minimizes the resulting sum over earlier
     same-block sets of 2^|overlap with the partial set|; ties go to the
-    smallest element.  Returns the block's sets (sorted tuples).
+    smallest element (``argmin``).  ``cost[e]`` is that sum if e came
+    next: picking e doubles the term 2^inter[i] of every earlier set i
+    holding e, which adds the old term to the cost of each element of
+    set i.  Returns the block's sets as a (count, l) array of sorted rows.
     """
-    sets: list[tuple[int, ...]] = []
-    containing: dict[int, list[int]] = {e: [] for e in universe}
-    for _ in range(count):
-        chosen: list[int] = []
-        inter = [0] * len(sets)  # overlap of each earlier set with `chosen`
+    dtype = _sum_dtype(l, count)
+    taken = 1 << (l + count.bit_length())  # above every reachable cost
+    inc = np.zeros((count, u), dtype=np.uint8)
+    for k in range(count):
+        earlier = inc[:k]
+        term = np.ones(k, dtype=dtype)
+        cost = earlier.sum(axis=0).astype(dtype)
         for _pick in range(l):
-            best_e, best_cost = None, None
-            for e in universe:
-                if e in chosen:
-                    continue
-                cost = sum(1 << inter[i] for i in containing[e])
-                if best_cost is None or cost < best_cost:
-                    best_e, best_cost = e, cost
-            chosen.append(best_e)
-            for i in containing[best_e]:
-                inter[i] += 1
-        new = tuple(sorted(chosen))
-        for e in new:
-            containing[e].append(len(sets))
-        sets.append(new)
-    return sets
+            e = int(np.argmin(cost))
+            rows = np.flatnonzero(earlier[:, e])
+            cost += term[rows] @ earlier[rows]
+            term[rows] *= 2
+            cost[e] = taken
+            inc[k, e] = 1
+    return np.nonzero(inc)[1].reshape(count, l)
 
 
 def greedy_weak_design(l: int, m: int, rho=1) -> DesignFamily:
@@ -158,15 +177,9 @@ def greedy_weak_design(l: int, m: int, rho=1) -> DesignFamily:
         placed = len(all_sets)  # sets in earlier blocks: each contributes 2^0
         u = max(l, min(l * bsize, (3 * l * l + 1) // 2))
         while True:
-            universe = list(range(next_elem, next_elem + u))
-            block = _build_block(bsize, l, universe)
-            ok = True
-            for t, s in enumerate(block):
-                within = sum(1 << _overlap(block[i], s) for i in range(t))
-                if placed + within > budget:
-                    ok = False
-                    break
-            if ok:
+            block = _build_block(bsize, l, u)
+            within = _running_sums(_overlap_powers(block, u))
+            if np.all(placed + within <= math.floor(budget)):
                 break
             if u >= l * bsize:
                 # unreachable for rho >= 1: at u = l*bsize the greedy picks
@@ -175,7 +188,7 @@ def greedy_weak_design(l: int, m: int, rho=1) -> DesignFamily:
                     f"greedy block failed even on a disjoint universe (l={l}, m={m})"
                 )
             u = min(2 * u, l * bsize)
-        all_sets.extend(block)
+        all_sets.extend(map(tuple, (block + next_elem).tolist()))
         next_elem += u
     # compact the universe to the elements actually used
     used = sorted({e for s in all_sets for e in s})

@@ -80,6 +80,13 @@ def _check_length(length: int, exact: bool) -> None:
         )
 
 
+def _exact(p) -> Fraction:
+    """``Fraction(p)``, refusing NaN and infinities as a malformed mass."""
+    if isinstance(p, (float, np.floating)) and not math.isfinite(p):
+        raise InvalidDistributionError("non-finite probability")
+    return Fraction(p)
+
+
 def _over_lcm(vals: list[Fraction]) -> tuple[np.ndarray, int]:
     """Fractions as Python-int weights (an object array) over the lcm of
     their denominators: ``vals[i] == weights[i] / total``."""
@@ -112,7 +119,7 @@ class Dist:
         _check_length(length, exact)
         size = 1 << length
         if exact:
-            vals = [Fraction(p) for p in probs]
+            vals = [_exact(p) for p in probs]
             if len(vals) != size:
                 raise InvalidDistributionError(
                     f"expected {size} probabilities, got {len(vals)}"

@@ -11,19 +11,23 @@ distance large enough that a Johnson-style bound caps the number of
 codewords in any ball of relative radius 1/2 - delta at 1/delta^2; the
 brute-force decoder simply tries every message, which at desk scale is
 both the oracle and the only decoder needed.
+
+Both codes are numpy kernels: the inner table is built by Sylvester
+doubling as packed bytes, and one batched Horner evaluator over the
+field's log/exp tables gives the outer symbols of many messages at once.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable
+import numpy as np
 
 from .bits import BitString
 from .dist import as_fraction
 from .errors import BudgetExceededError, DimensionError
 
 __all__ = [
+    "MAX_CODEWORD_BITS",
     "PINNED_POLYNOMIALS",
     "GField",
     "Code",
@@ -54,6 +58,37 @@ PINNED_POLYNOMIALS = {
     15: 0b1000000000000011, # x^15 + x + 1
     16: 0b10001000000001011,  # x^16 + x^12 + x^3 + x + 1
 }
+
+
+#: Largest codeword, in bits, that :class:`Code` builds: 2^28 bits (32 MB
+#: packed), so t <= 14.  The inner table has as many bits as a codeword, so
+#: a larger field raises BudgetExceededError before either is allocated.
+MAX_CODEWORD_BITS = 1 << 28
+
+#: Cells per batch of the list decoder's tables (8 MB of int64).
+_BATCH_CELLS = 1 << 20
+
+
+def _hadamard_rows(t: int) -> np.ndarray:
+    """Packed inner table: row v holds parity(v & z) for z ascending, first
+    z in the most significant bit, as 2^t/8 bytes (one left-aligned byte
+    when t < 3).
+
+    The 8-column table is written directly; each doubling step then fills
+    H_2w = [[H, H], [H, ~H]] inside the final array, so no unpacked
+    2^(2t)-bit temporary is made.
+    """
+    width = 1 << t
+    base = np.arange(min(width, 8))
+    rows = np.empty((width, max(1, width // 8)), dtype=np.uint8)
+    rows[: len(base), :1] = np.packbits(np.bitwise_count(base[:, None] & base) & 1, axis=1)
+    for w in (1 << k for k in range(3, t)):
+        b = w // 8
+        rows[:w, b : 2 * b] = rows[:w, :b]
+        rows[w : 2 * w, :b] = rows[:w, :b]
+        np.invert(rows[:w, :b], out=rows[w : 2 * w, b : 2 * b])
+    rows.setflags(write=False)
+    return rows
 
 
 class GField:
@@ -111,14 +146,22 @@ class Code:
             raise DimensionError(
                 f"{self.symbols} coefficients exceed {self.field.order} field points"
             )
-        # inner Hadamard blocks: block(v) packs parity(v & z) for z ascending
-        width = self.field.order
-        self._inner = []
-        for v in range(width):
-            block = 0
-            for z in range(width):
-                block = (block << 1) | ((v & z).bit_count() & 1)
-            self._inner.append(block)
+        if self.nbar > MAX_CODEWORD_BITS:
+            raise BudgetExceededError(
+                f"codeword of 2^{2 * t} = {self.nbar} bits exceeds budget"
+                f" {MAX_CODEWORD_BITS}",
+                requested=self.nbar,
+                budget=MAX_CODEWORD_BITS,
+            )
+        # GF(2^t) products as one gather: a*b = exp[log[a] + log[b]], where
+        # log[0] = 2(q-1) (q = 2^t) points past both copies of the cycle
+        # into zeros, so a zero factor gives 0 without a branch
+        cycle = self.field.order - 1
+        self._log = np.array(self.field.log, dtype=np.intp)
+        self._log[0] = 2 * cycle
+        self._exp = np.zeros(4 * cycle + 1, dtype=np.intp)
+        self._exp[: 2 * cycle] = self.field.exp * 2
+        self._inner = _hadamard_rows(t)
         self._codebook: dict[int, int] = {}
 
     @property
@@ -134,26 +177,62 @@ class Code:
     def __repr__(self) -> str:
         return f"Code(n={self.n}, delta={self.delta}, t={self.t}, nbar={self.nbar})"
 
-    def _symbols_of(self, x: BitString) -> list[int]:
-        """Split the message into t-bit symbols; a short last chunk keeps its
-        value (zero bits implied on the high side)."""
-        syms = []
-        for j in range(self.symbols):
-            lo = j * self.t
-            hi = min(lo + self.t, self.n)
-            syms.append(x.slice(lo, hi).value)
-        return syms
+    def evaluate(self, xs) -> np.ndarray:
+        """Outer Reed-Solomon symbols of a batch of messages.
+
+        ``xs`` holds message values below 2^n.  Returns a (len(xs), 2^t)
+        intp array whose row b, column p is P(p) for message xs[b]: the
+        polynomial with the message's t-bit symbols as coefficients (first
+        symbol = constant term; a short last symbol keeps its value),
+        evaluated by Horner's rule at every field point at once.
+        """
+        xs = np.asarray(xs, dtype=np.int64 if self.n < 63 else object)
+        points = self._log[: self.field.order]
+        acc = np.zeros((len(xs), self.field.order), dtype=np.intp)
+        for j in reversed(range(self.symbols)):
+            lo, hi = j * self.t, min(j * self.t + self.t, self.n)
+            coeff = ((xs >> (self.n - hi)) & ((1 << (hi - lo)) - 1)).astype(np.intp)
+            acc = self._exp[self._log[acc] + points] ^ coeff[:, None]
+        return acc
+
+    def _join(self, rows: np.ndarray) -> int:
+        """Packed inner rows concatenated into one integer, first row most
+        significant."""
+        if self.t >= 3:
+            return int.from_bytes(rows.tobytes(), "big")
+        bits = np.unpackbits(rows, axis=1, count=self.field.order)
+        return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8)
+
+    def _blocks(self, word: int) -> np.ndarray:
+        """A codeword-length integer cut into 2^t packed rows (inverse of
+        :meth:`_join`)."""
+        width = self.field.order
+        if self.t >= 3:
+            raw = word.to_bytes(self.nbar // 8, "big")
+            return np.frombuffer(raw, dtype=np.uint8).reshape(width, width // 8)
+        bits = (word >> np.arange(self.nbar - 1, -1, -1)) & 1
+        return np.packbits(bits.reshape(width, width).astype(np.uint8), axis=1)
 
     def _encode_value(self, xv: int) -> int:
         cw = self._codebook.get(xv)
         if cw is None:
-            syms = self._symbols_of(BitString(self.n, xv))
-            width = self.field.order
-            cw = 0
-            for p in range(width):
-                cw = (cw << width) | self._inner[self.field.poly_eval(syms, p)]
+            cw = self._join(self._inner[self.evaluate([xv])[0]])
             self._codebook[xv] = cw
         return cw
+
+    def _inner_distances(self, center: int) -> np.ndarray:
+        """(2^t, 2^t) table: entry [p, v] is the Hamming distance between
+        inner row v and block p of ``center``."""
+        width = self.field.order
+        rows, blocks = self._inner, self._blocks(center)
+        if rows.shape[1] % 8 == 0:  # popcount whole words when rows allow it
+            rows, blocks = rows.view(np.uint64), blocks.view(np.uint64)
+        out = np.empty((width, width), dtype=np.int64)
+        step = max(1, _BATCH_CELLS // rows.size)
+        for p in range(0, width, step):
+            diff = rows[np.newaxis] ^ blocks[p : p + step, np.newaxis]
+            out[p : p + step] = np.bitwise_count(diff).sum(axis=2)
+        return out
 
 
 def build_code(n: int, delta) -> Code:
@@ -202,6 +281,10 @@ def brute_list_decode(
     (1/2 + delta) fraction of positions; the comparison is exact over
     rationals and inclusive.  Tries every one of the 2^n messages, so n
     is capped (default 14).  Output sorted by message value.
+
+    No codeword is built: a message's distance is the sum over field
+    points p of the inner distance between row P(p) and the center's
+    block p, read from one (2^t, 2^t) table.
     """
     if center.length != code.nbar:
         raise DimensionError(
@@ -209,15 +292,22 @@ def brute_list_decode(
         )
     if code.n > max_message_bits:
         raise BudgetExceededError(
-            f"2^{code.n} messages exceed the enumeration budget 2^{max_message_bits}"
+            f"2^{code.n} messages exceed the enumeration budget 2^{max_message_bits}",
+            requested=1 << code.n,
+            budget=1 << max_message_bits,
         )
     radius = (
         Fraction(1, 2) - code.delta if radius is None else as_fraction(radius)
     )
+    # distance <= radius * nbar over the integers
+    limit = min(radius.numerator * code.nbar // radius.denominator, code.nbar)
+    table = code._inner_distances(center.value)
+    points = np.arange(code.field.order)
+    count = 1 << code.n
+    step = max(1, _BATCH_CELLS // code.field.order)
     out = []
-    nbar = code.nbar
-    for xv in range(1 << code.n):
-        distance = (code._encode_value(xv) ^ center.value).bit_count()
-        if distance * radius.denominator <= radius.numerator * nbar:
-            out.append(BitString(code.n, xv))
+    for lo in range(0, count, step):
+        xs = np.arange(lo, min(lo + step, count))
+        distance = table[points, code.evaluate(xs)].sum(axis=1)
+        out.extend(BitString(code.n, int(xv)) for xv in xs[distance <= limit])
     return out

@@ -26,8 +26,15 @@ class BudgetExceededError(ExtrakitError):
     """An exact enumeration would exceed the configured work budget.
 
     Raised instead of silently downgrading to sampling; the caller must
-    shrink the instance or raise the budget explicitly.
+    shrink the instance or raise the budget explicitly.  ``requested`` is
+    the size the call asked for and ``budget`` the cap it exceeded, in the
+    unit the message names (subsets, cells, members, bits, messages).
     """
+
+    def __init__(self, message, requested=None, budget=None):
+        super().__init__(message)
+        self.requested = requested
+        self.budget = budget
 
 
 class FormatError(ExtrakitError):

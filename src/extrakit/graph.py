@@ -99,7 +99,9 @@ class BipartiteGraph:
             N, M = self.N, self.M
             if N * M > MAX_HIST_CELLS:
                 raise BudgetExceededError(
-                    f"hist of N*M = {N * M} cells exceeds budget {MAX_HIST_CELLS}"
+                    f"hist of N*M = {N * M} cells exceeds budget {MAX_HIST_CELLS}",
+                    requested=N * M,
+                    budget=MAX_HIST_CELLS,
                 )
             cells = np.arange(N, dtype=np.int64)[:, None] * M + self.adjacency
             h = np.bincount(cells.ravel(), minlength=N * M).reshape(N, M)
@@ -280,7 +282,9 @@ def verify_disperser(
         return Verdict(True, note=f"L={L} exceeds M={G.M}; condition vacuous")
     if math.comb(G.M, L) > max_subsets:
         raise BudgetExceededError(
-            f"C({G.M},{L}) = {math.comb(G.M, L)} subsets exceed budget {max_subsets}"
+            f"C({G.M},{L}) = {math.comb(G.M, L)} subsets exceed budget {max_subsets}",
+            requested=math.comb(G.M, L),
+            budget=max_subsets,
         )
     W = -(-G.N // 64)
     inc = np.zeros((G.M, 64 * W), dtype=bool)
@@ -386,7 +390,9 @@ def verify_extractor(
     _check_flat_size(G, K)
     if 1 << G.M > max_subsets:
         raise BudgetExceededError(
-            f"2^{G.M} right subsets exceed budget {max_subsets}"
+            f"2^{G.M} right subsets exceed budget {max_subsets}",
+            requested=1 << G.M,
+            budget=max_subsets,
         )
     witness = _least_failing_event(G, K, eps)
     if witness is not None:
@@ -444,7 +450,9 @@ def worst_flat_distance(
     _check_flat_size(G, K)
     if math.comb(G.N, K) > max_subsets:
         raise BudgetExceededError(
-            f"C({G.N},{K}) = {math.comb(G.N, K)} subsets exceed budget {max_subsets}"
+            f"C({G.N},{K}) = {math.comb(G.N, K)} subsets exceed budget {max_subsets}",
+            requested=math.comb(G.N, K),
+            budget=max_subsets,
         )
     H = G.hist
     M, KD = G.M, K * G.D

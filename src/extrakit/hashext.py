@@ -106,10 +106,14 @@ def hash_table(family: ToeplitzFamily, max_bits: int = MAX_FAMILY_BITS) -> np.nd
     """
     if family.d > max_bits:
         raise BudgetExceededError(
-            f"family has 2^{family.d} members, budget is 2^{max_bits}"
+            f"family has 2^{family.d} members, budget is 2^{max_bits}",
+            requested=family.size,
+            budget=1 << max_bits,
         )
     if family.l > 16:
-        raise BudgetExceededError(f"l={family.l} overflows the uint16 table")
+        raise BudgetExceededError(
+            f"l={family.l} overflows the uint16 table", requested=family.l, budget=16
+        )
     table = np.empty((family.size, 1 << family.n), dtype=np.uint16)
     for xv in range(1 << family.n):
         table[:, xv] = _column(family, BitString(family.n, xv))
@@ -148,7 +152,9 @@ def collision_prob(
         raise InvalidPairError("collision probability needs two distinct inputs")
     if family.d > max_bits:
         raise BudgetExceededError(
-            f"family has 2^{family.d} members, budget is 2^{max_bits}"
+            f"family has 2^{family.d} members, budget is 2^{max_bits}",
+            requested=family.size,
+            budget=1 << max_bits,
         )
     hits = int((_column(family, x1) == _column(family, x2)).sum())
     return Fraction(hits, family.size)

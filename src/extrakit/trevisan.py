@@ -180,38 +180,29 @@ def trevisan_map(p: TrevisanParams, strong: bool = False) -> SeededFunction:
     )
 
 
-def _truth_table_array(f: BitString) -> np.ndarray:
-    """Truth table as a uint8 array indexed by input value."""
-    if f.length % 8 == 0:
-        raw = f.value.to_bytes(f.length // 8, "big")
-        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    return np.array([f.bit(i) for i in range(f.length)], dtype=np.uint8)
-
-
 def trevisan_graph(p: TrevisanParams, strong: bool = False) -> BipartiteGraph:
-    """Whole-graph tabulation, vectorized over seeds.
+    """Whole-graph tabulation, vectorized over sources and seeds.
 
-    Equals graph_of_function(trevisan_map(p)) bit for bit but runs in
-    numpy: the design restrictions of every seed are gathered once, then
-    each source word is a table lookup.
+    Equals graph_of_function(trevisan_map(p)) bit for bit but builds no
+    codeword: the seed restriction v to set i (2t bits) selects codeword
+    bit v, which is parity(P_x(v >> t) & (v mod 2^t)), so one batch of
+    outer symbols P_x of every source x serves every seed.
     """
-    D = 1 << p.d
+    N, D, t = 1 << p.n, 1 << p.d, p.code.t
     seeds = np.arange(D, dtype=np.int64)
-    # seed bit at position pos (MSB-first) for every seed value
-    restr = []
+    # the narrowest dtype holding a symbol keeps the (N, D) gathers small
+    sym_dtype = np.min_scalar_type((1 << t) - 1)
+    symbols = p.code.evaluate(np.arange(N)).astype(sym_dtype)
+    parity = (np.bitwise_count(np.arange(1 << t)) & 1).astype(np.uint8)
+    adj = np.zeros((N, D), dtype=np.int64)
     for s in p.design.sets:
         v = np.zeros(D, dtype=np.int64)
-        for pos in s:
+        for pos in s:  # seed bit at position pos (MSB-first) for every seed
             v = (v << 1) | ((seeds >> (p.d - 1 - pos)) & 1)
-        restr.append(v)
-    N = 1 << p.n
-    adj = np.zeros((N, D), dtype=np.int64)
-    for xv in range(N):
-        table = _truth_table_array(encode(p.code, BitString(p.n, xv)))
-        out = np.zeros(D, dtype=np.int64)
-        for v in restr:
-            out = (out << 1) | table[v]
-        adj[xv] = out
+        bits = symbols[:, v >> t]
+        bits &= (v & ((1 << t) - 1)).astype(sym_dtype)
+        adj <<= 1
+        adj |= parity[bits]
     if strong:
         adj = (seeds[np.newaxis, :] << p.m) | adj
         return BipartiteGraph(N, 1 << (p.d + p.m), D, adj)

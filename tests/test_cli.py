@@ -215,6 +215,15 @@ def test_encode_code_matches_library(capsys, tmp_path):
     assert "t=4" in out and "nbar=256" in out and "poly=0x13" in out
 
 
+def test_encode_code_refuses_oversized_field(capsys, tmp_path):
+    # delta = 1/256 needs 2^t >= 2^15 points: a 2^30-bit codeword
+    word_path = write_lines(tmp_path / "w.txt", BitString(1, 1).to_text() + "\n")
+    code, out, err = run(capsys, "encode-code", "--n", "1", "--delta", "1/256",
+                         "--word", word_path)
+    assert code == 2 and out == ""
+    assert err == "error: codeword of 2^30 = 1073741824 bits exceeds budget 268435456\n"
+
+
 def test_sample_graph_deterministic_and_readable(capsys, tmp_path):
     out_path = tmp_path / "g.txt"
     argv = ("sample-graph", "--N", "8", "--M", "4", "--D", "6",

@@ -223,6 +223,12 @@ def test_somewhere_random_ctor_validation():
         SomewhereRandomSource(2, 2, tuple(tuple(r) for r in bad))  # sums to 1/2
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_somewhere_random_rejects_non_finite_masses(bad):
+    with pytest.raises(InvalidDistributionError, match="non-finite probability"):
+        SomewhereRandomSource(1, 1, [[0, 0], [0.5, bad]])
+
+
 # ---------------------------------------------------------------------------
 # two-block merger
 

@@ -223,6 +223,14 @@ class TestNonFinite:
         with pytest.raises(InvalidDistributionError, match="negative probability"):
             Dist(1, [float("-inf"), 0.5])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
+    def test_exact_dist_rejects_non_finite_masses(self, bad):
+        for probs in ([Fraction(1, 2), bad], [bad, Fraction(1, 2)]):
+            with pytest.raises(InvalidDistributionError, match="non-finite probability"):
+                Dist(1, probs)
+        with pytest.raises(InvalidDistributionError, match="non-finite probability"):
+            Dist(1, [0.5, bad], exact=True)
+
 
 class TestDistHeader:
     @pytest.mark.parametrize("header", ["-1", "25", "40", "2.5", "x", ""])

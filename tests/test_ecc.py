@@ -5,11 +5,14 @@ the field tables, a bit-by-bit re-encoder for codewords, and an
 independent exhaustive decoder for the list-decoding threshold.
 """
 
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
+import extrakit.ecc as ecc_module
 from extrakit import (
     BitString,
     BudgetExceededError,
@@ -21,6 +24,7 @@ from extrakit import (
     build_code,
     code_encode,
 )
+from extrakit.ecc import MAX_CODEWORD_BITS
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -312,14 +316,49 @@ def test_list_decode_sorted_and_deterministic():
 
 def test_list_decode_budget_and_length_checks():
     big = build_code(15, Fraction(1, 4))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as exc:
         brute_list_decode(big, BitString(big.nbar))
+    assert (exc.value.requested, exc.value.budget) == (1 << 15, 1 << 14)
     mid = build_code(12, Fraction(1, 4))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as exc:
         brute_list_decode(mid, BitString(mid.nbar), max_message_bits=10)
+    assert (exc.value.requested, exc.value.budget) == (1 << 12, 1 << 10)
     code = build_code(5, Fraction(1, 4))
     with pytest.raises(DimensionError):
         brute_list_decode(code, BitString(code.nbar + 1))
+
+
+def test_codeword_cap_refuses_before_allocating():
+    assert MAX_CODEWORD_BITS == 1 << 28  # t <= 14
+    for t in (15, 16):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match=f"2\\^{2 * t} = {1 << 2 * t} bits") as exc:
+                Code(1, Fraction(1, 4), t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.requested, exc.value.budget) == (1 << 2 * t, MAX_CODEWORD_BITS)
+        assert peak < 16 << 20  # the packed table alone would be 2^(2t-3) bytes
+
+
+def test_codeword_cap_boundary(monkeypatch):
+    monkeypatch.setattr(ecc_module, "MAX_CODEWORD_BITS", 256)
+    assert Code(4, Fraction(1, 4), 4).nbar == 256
+    with pytest.raises(BudgetExceededError, match="2\\^10 = 1024 bits exceeds budget 256"):
+        Code(4, Fraction(1, 4), 5)
+
+
+def test_inner_table_is_packed_sylvester_rows():
+    # row v of the packed table holds parity(v & z), z ascending, MSB first
+    for t in range(1, 9):
+        width = 1 << t
+        table = Code(1, Fraction(1, 4), t)._inner
+        assert table.shape == (width, max(1, width // 8)) and table.dtype == np.uint8
+        assert not table.flags.writeable
+        for v in range(width):
+            bits = [parity(v & z) for z in range(width)] + [0] * (-width % 8)
+            assert table[v].tolist() == list(np.packbits(bits))
 
 
 # ---------------------------------------------------------------------------

@@ -161,8 +161,9 @@ class TestVerifyExtractor:
 
     def test_budget_hard_error(self):
         G = random_graph(np.random.default_rng(0), 4, 6, 2)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as exc:
             verify_extractor(G, 2, Fraction(1, 4), max_subsets=32)
+        assert (exc.value.requested, exc.value.budget) == (64, 32)
 
     def test_k_too_large(self):
         with pytest.raises(DimensionError):
@@ -270,6 +271,12 @@ class TestVerifyDisperser:
             verdict = verify_disperser(G, K, Fraction(1, 35))
             assert verdict.witness == disperser_witness_oracle(G, K, Fraction(1, 35))
 
+    def test_budget_hard_error(self):
+        # L = ceil(eps*M) = 4 of M = 8 rights: C(8,4) = 70 sets
+        with pytest.raises(BudgetExceededError, match="C\\(8,4\\) = 70 subsets") as exc:
+            verify_disperser(constant_graph(4, 8, 2), 2, Fraction(1, 2), max_subsets=69)
+        assert (exc.value.requested, exc.value.budget) == (70, 69)
+
 
 class TestVerifyPrefix:
     def test_passthrough_all_prefixes(self):
@@ -330,8 +337,9 @@ class TestWorstFlatDistance:
             assert naive_flat_distance(rows, A, G.M) == val
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as exc:
             worst_flat_distance(constant_graph(16, 2, 1), 8, max_subsets=100)
+        assert (exc.value.requested, exc.value.budget) == (12870, 100)
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -432,8 +440,9 @@ def test_hist_budget_boundary(monkeypatch):
     monkeypatch.setattr(graph_module, "MAX_HIST_CELLS", 12)
     assert BipartiteGraph(3, 4, 2, np.zeros((3, 2), dtype=np.int64)).hist.sum() == 6
     G = BipartiteGraph(3, 5, 2, np.zeros((3, 2), dtype=np.int64))
-    with pytest.raises(BudgetExceededError, match=r"N\*M = 15 cells exceeds budget 12"):
+    with pytest.raises(BudgetExceededError, match=r"N\*M = 15 cells exceeds budget 12") as exc:
         G.hist
+    assert (exc.value.requested, exc.value.budget) == (15, 12)
 
 
 def test_oversized_hist_refused_before_allocating(capsys, tmp_path):
