@@ -116,7 +116,10 @@ def verify_design(family: DesignFamily, kind: str, rho) -> Verdict:
         return Verdict(True, note=f"all {m * (m - 1) // 2} pairs within 2^|overlap| <= {rho}")
     sums = _running_sums(powers)
     # 0-based j: the uniform-weak budget rho * (j_1based - 1) is rho * j
-    steps = np.arange(m, dtype=object) if kind == "uniform-weak" else np.full(m, m - 1, dtype=object)
+    if kind == "uniform-weak":
+        steps = np.arange(m, dtype=object)
+    else:
+        steps = np.full(m, m - 1, dtype=object)
     bad = np.flatnonzero(sums[1:] > rho.numerator * steps[1:] // rho.denominator)
     if bad.size:
         j = int(bad[0]) + 1

@@ -105,8 +105,11 @@ def test_greedy_design_matches_oracle_on_grid():
             _same_design(l, m)
 
 
-@pytest.mark.parametrize("l, m", [(10, 128), (12, 256), (16, 512), (62, 2), (64, 5), (70, 9)])
+@pytest.mark.parametrize("l, m", [(3, 100), (4, 128), (10, 128), (12, 256), (16, 512),
+                                  (62, 2), (64, 5), (70, 9)])
 def test_greedy_design_matches_oracle_large(l, m):
+    # (3, 100) and (4, 128) force a set to share two elements with an
+    # earlier one, so the weight 2^inter must double, not just grow;
     # (62, 2) and up have l + m.bit_length() >= 63: Python-int sums
     _same_design(l, m)
 

@@ -66,6 +66,18 @@ class TestVerifyDesign:
         # disjoint pairs cost 2^0 = 1 each; j=3 sum = 2 > (1/2)*(m-1) = 1
         assert not verify_design(fam, "weak", Fraction(1, 2))
 
+    def test_budgets_compared_exactly_near_2_to_61(self):
+        # three identical 60-sets: running sums 2^60 and 2^61.  With
+        # rho = 2^60 - 1/3 the weak budget 2^61 - 2/3 rounds to 2^61 as a
+        # float, but S_3 exceeds it exactly.
+        fam = DesignFamily(60, 60, (tuple(range(60)),) * 3)
+        rho = Fraction(3 * 2**60 - 1, 3)
+        verdict = verify_design(fam, "weak", rho)
+        assert (verdict.ok, verdict.witness) == (False, 3)
+        assert verdict.note == f"sum {2**61} > {2 * rho}"
+        assert not verify_design(fam, "uniform-weak", rho)
+        assert verify_design(fam, "weak", rho + Fraction(1, 3))
+
     def test_unknown_kind(self):
         with pytest.raises(DimensionError):
             verify_design(disjoint_family(2, 2), "strong", 1)
