@@ -68,27 +68,45 @@ class DesignFamily:
         return f"DesignFamily(d={self.d}, l={self.l}, m={self.m})"
 
 
+#: Cells per row block of the overlap matrix (1 MB of uint8 incidence and
+#: gathers; the block's powers are int64).
+_BLOCK_CELLS = 1 << 20
+
+
 def _sum_dtype(l: int, m: int):
     """int64 while a sum of m terms 2^(<= l) always fits, else Python ints."""
     return np.int64 if l + m.bit_length() < 63 else object
 
 
-def _overlap_powers(sets: np.ndarray, d: int) -> np.ndarray:
-    """P[i, j] = 2^|S_i n S_j| for the rows of ``sets`` (m, l) over [d].
+def _overlap_powers(sets: np.ndarray):
+    """Row blocks of the matrix P[j, i] = 2^|S_i n S_j| of the rows of
+    ``sets`` (m, l), as pairs (lo, P[lo:hi, :hi]).
 
-    The overlaps are the incidence product inc @ inc.T, formed by
-    gathering each set's columns of inc and summing them.
+    The incidence has one column per element in use (at most m*l),
+    whatever the universe.  A block's overlaps are the incidence product
+    inc @ inc.T, formed by gathering the block's incidence columns of
+    every earlier set and summing them; the incidence and the gather each
+    stay within _BLOCK_CELLS cells.
     """
     m, l = sets.shape
-    inc = np.zeros((m, d), dtype=np.uint8)
-    inc[np.arange(m)[:, np.newaxis], sets] = 1
-    overlap = inc[:, sets].sum(axis=2, dtype=_sum_dtype(l, m))
-    return np.left_shift(1, overlap, out=overlap)
+    elems, cols = np.unique(sets, return_inverse=True)
+    cols = cols.reshape(m, l)
+    step = max(1, _BLOCK_CELLS // max(1, m * l))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        inc = np.zeros((hi - lo, len(elems)), dtype=np.uint8)
+        inc[np.arange(hi - lo)[:, np.newaxis], cols[lo:hi]] = 1
+        overlap = inc[:, cols[:hi]].sum(axis=2, dtype=_sum_dtype(l, m))
+        yield lo, np.left_shift(1, overlap, out=overlap)
 
 
-def _running_sums(powers: np.ndarray) -> np.ndarray:
-    """sums[j] = sum over i < j of powers[i, j]."""
-    return np.tril(powers, -1).sum(axis=1)
+def _running_sums(sets: np.ndarray) -> np.ndarray:
+    """sums[j] = sum over i < j of 2^|S_i n S_j|."""
+    m, l = sets.shape
+    sums = np.zeros(m, dtype=_sum_dtype(l, m))
+    for lo, powers in _overlap_powers(sets):
+        sums[lo : lo + len(powers)] = np.tril(powers, lo - 1).sum(axis=1)
+    return sums
 
 
 def verify_design(family: DesignFamily, kind: str, rho) -> Verdict:
@@ -99,22 +117,24 @@ def verify_design(family: DesignFamily, kind: str, rho) -> Verdict:
     uniform-weak:  every j has sum_{i<j} 2^|S_i n S_j| <= rho*(j-1)  (witness j)
 
     Indices in witnesses are 1-based to match the S_1..S_m naming.  All
-    three kinds read one matrix of overlap powers; an integer exceeds a
-    rational bound exactly when it exceeds the bound's floor.
+    three kinds read the matrix of overlap powers, one row block at a
+    time; an integer exceeds a rational bound exactly when it exceeds the
+    bound's floor.
     """
     if kind not in KINDS:
         raise DimensionError(f"kind {kind!r} not one of {KINDS}")
     rho = as_fraction(rho)
     m = family.m
-    sets = np.array(family.sets, dtype=np.intp).reshape(m, family.l)
-    powers = _overlap_powers(sets, family.d)
+    dtype = np.intp if family.d <= 1 << 62 else object
+    sets = np.array(family.sets, dtype=dtype).reshape(m, family.l)
     if kind == "design":
-        bad = np.flatnonzero(np.tril(powers > math.floor(rho), -1))
-        if bad.size:
-            j, i = divmod(int(bad[0]), m)
-            return Verdict(False, witness=(i + 1, j + 1))
+        for lo, powers in _overlap_powers(sets):
+            bad = np.argwhere(np.tril(powers > math.floor(rho), lo - 1))
+            if bad.size:
+                j, i = bad[0]
+                return Verdict(False, witness=(int(i) + 1, lo + int(j) + 1))
         return Verdict(True, note=f"all {m * (m - 1) // 2} pairs within 2^|overlap| <= {rho}")
-    sums = _running_sums(powers)
+    sums = _running_sums(sets)
     # 0-based j: the uniform-weak budget rho * (j_1based - 1) is rho * j
     if kind == "uniform-weak":
         steps = np.arange(m, dtype=object)
@@ -181,7 +201,7 @@ def greedy_weak_design(l: int, m: int, rho=1) -> DesignFamily:
         u = max(l, min(l * bsize, (3 * l * l + 1) // 2))
         while True:
             block = _build_block(bsize, l, u)
-            within = _running_sums(_overlap_powers(block, u))
+            within = _running_sums(block)
             if np.all(placed + within <= math.floor(budget)):
                 break
             if u >= l * bsize:

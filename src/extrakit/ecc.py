@@ -65,7 +65,8 @@ PINNED_POLYNOMIALS = {
 #: a larger field raises BudgetExceededError before either is allocated.
 MAX_CODEWORD_BITS = 1 << 28
 
-#: Cells per batch of the list decoder's tables (8 MB of int64).
+#: Cells per batch of the list decoder's arrays (4 MB of int32 distances,
+#: 8 MB of intp symbols).
 _BATCH_CELLS = 1 << 20
 
 
@@ -92,7 +93,14 @@ def _hadamard_rows(t: int) -> np.ndarray:
 
 
 class GField:
-    """GF(2^t) with log/antilog tables over the pinned polynomial."""
+    """GF(2^t) with log/antilog tables over the pinned polynomial.
+
+    A product is one table read, a*b = exp[log[a] + log[b]]: ``exp`` holds
+    the cycle of powers of x twice and then zeros, and log[0] = 2(q-1)
+    (q = 2^t) points past both copies into the zeros, so a zero factor
+    gives 0 without a branch.  The tables are numpy arrays, so the same
+    read serves a scalar or a whole batch of products.
+    """
 
     def __init__(self, t: int):
         if t not in PINNED_POLYNOMIALS:
@@ -100,28 +108,27 @@ class GField:
         self.t = t
         self.order = 1 << t
         self.poly = PINNED_POLYNOMIALS[t]
-        exp = [1]
+        powers = [1]
         v = 1
         for _ in range(self.order - 2):
             v <<= 1
             if v & self.order:
                 v ^= self.poly
-            exp.append(v)
+            powers.append(v)
         # primitivity check: x must generate the full multiplicative group
         v <<= 1
         if v & self.order:
             v ^= self.poly
-        if v != 1 or len(set(exp)) != self.order - 1:
+        if v != 1 or len(set(powers)) != self.order - 1:
             raise DimensionError(f"polynomial {self.poly:#x} is not primitive for t={t}")
-        self.exp = exp
-        self.log = [0] * self.order
-        for i, val in enumerate(exp):
-            self.log[val] = i
+        cycle = self.order - 1
+        self.exp = np.zeros(4 * cycle + 1, dtype=np.intp)
+        self.exp[: 2 * cycle] = powers * 2
+        self.log = np.full(self.order, 2 * cycle, dtype=np.intp)
+        self.log[powers] = np.arange(cycle)
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.order - 1)]
+        return int(self.exp[self.log[a] + self.log[b]])
 
     def poly_eval(self, coeffs: list[int], xi: int) -> int:
         """Horner evaluation of sum coeffs[j] * xi^j (coeffs[0] = constant)."""
@@ -153,14 +160,6 @@ class Code:
                 requested=self.nbar,
                 budget=MAX_CODEWORD_BITS,
             )
-        # GF(2^t) products as one gather: a*b = exp[log[a] + log[b]], where
-        # log[0] = 2(q-1) (q = 2^t) points past both copies of the cycle
-        # into zeros, so a zero factor gives 0 without a branch
-        cycle = self.field.order - 1
-        self._log = np.array(self.field.log, dtype=np.intp)
-        self._log[0] = 2 * cycle
-        self._exp = np.zeros(4 * cycle + 1, dtype=np.intp)
-        self._exp[: 2 * cycle] = self.field.exp * 2
         self._inner = _hadamard_rows(t)
         self._codebook: dict[int, int] = {}
 
@@ -177,22 +176,25 @@ class Code:
     def __repr__(self) -> str:
         return f"Code(n={self.n}, delta={self.delta}, t={self.t}, nbar={self.nbar})"
 
-    def evaluate(self, xs) -> np.ndarray:
+    def evaluate(self, xs, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Outer Reed-Solomon symbols of a batch of messages.
 
-        ``xs`` holds message values below 2^n.  Returns a (len(xs), 2^t)
-        intp array whose row b, column p is P(p) for message xs[b]: the
+        ``xs`` holds message values below 2^n.  Returns a (len(xs), stop -
+        start) intp array whose row b, column p is P(start + p) for message
+        xs[b]: the
         polynomial with the message's t-bit symbols as coefficients (first
         symbol = constant term; a short last symbol keeps its value),
-        evaluated by Horner's rule at every field point at once.
+        evaluated by Horner's rule at the field points start..stop-1 (all
+        of them by default) at once.
         """
+        field = self.field
         xs = np.asarray(xs, dtype=np.int64 if self.n < 63 else object)
-        points = self._log[: self.field.order]
-        acc = np.zeros((len(xs), self.field.order), dtype=np.intp)
+        points = field.log[start:stop]
+        acc = np.zeros((len(xs), len(points)), dtype=np.intp)
         for j in reversed(range(self.symbols)):
             lo, hi = j * self.t, min(j * self.t + self.t, self.n)
             coeff = ((xs >> (self.n - hi)) & ((1 << (hi - lo)) - 1)).astype(np.intp)
-            acc = self._exp[self._log[acc] + points] ^ coeff[:, None]
+            acc = field.exp[field.log[acc] + points] ^ coeff[:, None]
         return acc
 
     def _join(self, rows: np.ndarray) -> int:
@@ -220,19 +222,28 @@ class Code:
             self._codebook[xv] = cw
         return cw
 
-    def _inner_distances(self, center: int) -> np.ndarray:
-        """(2^t, 2^t) table: entry [p, v] is the Hamming distance between
-        inner row v and block p of ``center``."""
-        width = self.field.order
-        rows, blocks = self._inner, self._blocks(center)
-        if rows.shape[1] % 8 == 0:  # popcount whole words when rows allow it
-            rows, blocks = rows.view(np.uint64), blocks.view(np.uint64)
-        out = np.empty((width, width), dtype=np.int64)
-        step = max(1, _BATCH_CELLS // rows.size)
-        for p in range(0, width, step):
-            diff = rows[np.newaxis] ^ blocks[p : p + step, np.newaxis]
-            out[p : p + step] = np.bitwise_count(diff).sum(axis=2)
-        return out
+
+def _inner_distances(blocks: np.ndarray, width: int) -> np.ndarray:
+    """Entry [p, v] is the Hamming distance between inner row v and packed
+    block p, for a batch of 2^t-bit blocks (width = 2^t).
+
+    Row v differs from block b wherever parity(v & z) != b(z), so the
+    distance is (width - W(v)) / 2, where W is the Walsh-Hadamard transform
+    of (-1)^b(z).  The fast transform takes t in-place butterfly passes
+    (a, b) -> (a + b, a - b) over each block.
+    """
+    signs = 1 - 2 * np.unpackbits(blocks, axis=1, count=width).astype(np.int32)
+    h = 1
+    while h < width:
+        pairs = signs.reshape(len(signs), -1, 2, h)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        low += high
+        high *= -2
+        high += low
+        h *= 2
+    np.subtract(width, signs, out=signs)
+    signs >>= 1
+    return signs
 
 
 def build_code(n: int, delta) -> Code:
@@ -284,7 +295,8 @@ def brute_list_decode(
 
     No codeword is built: a message's distance is the sum over field
     points p of the inner distance between row P(p) and the center's
-    block p, read from one (2^t, 2^t) table.
+    block p, read from inner-distance tables made a batch of field points
+    at a time, so memory stays bounded whatever n and t are.
     """
     if center.length != code.nbar:
         raise DimensionError(
@@ -301,13 +313,16 @@ def brute_list_decode(
     )
     # distance <= radius * nbar over the integers
     limit = min(radius.numerator * code.nbar // radius.denominator, code.nbar)
-    table = code._inner_distances(center.value)
-    points = np.arange(code.field.order)
-    count = 1 << code.n
-    step = max(1, _BATCH_CELLS // code.field.order)
-    out = []
-    for lo in range(0, count, step):
-        xs = np.arange(lo, min(lo + step, count))
-        distance = table[points, code.evaluate(xs)].sum(axis=1)
-        out.extend(BitString(code.n, int(xv)) for xv in xs[distance <= limit])
-    return out
+    width = code.field.order
+    blocks = code._blocks(center.value)
+    distance = np.zeros(1 << code.n, dtype=np.int64)
+    xs = np.arange(len(distance))
+    step = max(1, _BATCH_CELLS // width)
+    for lo in range(0, width, step):  # a batch of field points ...
+        table = _inner_distances(blocks[lo : lo + step], width)
+        cols = np.arange(len(table))
+        batch = _BATCH_CELLS // len(table)
+        for x0 in range(0, len(xs), batch):  # ... against a batch of messages
+            symbols = code.evaluate(xs[x0 : x0 + batch], lo, lo + len(table))
+            distance[x0 : x0 + batch] += table[cols, symbols].sum(axis=1)
+    return [BitString(code.n, int(xv)) for xv in np.flatnonzero(distance <= limit)]

@@ -10,10 +10,13 @@ adjacency in plain and strong mode.  The oracles are the loop bodies in
 
 from fractions import Fraction
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import extrakit.design as design_module
+import extrakit.ecc as ecc_module
 from extrakit import (
     BitString,
     Code,
@@ -71,6 +74,18 @@ def test_codewords_match_oracle(t, data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_list_decode_matches_oracle(data):
+    _same_decoded_list(data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), cells=st.integers(1, 40))
+def test_list_decode_matches_oracle_in_small_batches(data, cells):
+    # a few cells per batch split both the field points and the messages
+    with patch.object(ecc_module, "_BATCH_CELLS", cells):
+        _same_decoded_list(data)
+
+
+def _same_decoded_list(data):
     t = data.draw(st.integers(1, 4), label="t")
     n = data.draw(st.integers(1, min(t << t, 8)), label="n")
     code = Code(n, data.draw(st.sampled_from(DELTAS), label="delta"), t)
@@ -138,6 +153,32 @@ def families(draw):
 def test_verify_design_matches_oracle(fam, kind, rho):
     v = verify_design(fam, kind, rho)
     assert (v.ok, v.witness, v.note) == verify_design_oracle(fam, kind, rho)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fam=families(), kind=st.sampled_from(["design", "weak", "uniform-weak"]),
+       rho=st.sampled_from(RHOS), cells=st.integers(1, 200))
+def test_verify_design_matches_oracle_in_row_blocks(fam, kind, rho, cells):
+    # a few cells per block split the overlap matrix into many row blocks
+    with patch.object(design_module, "_BLOCK_CELLS", cells):
+        v = verify_design(fam, kind, rho)
+    assert (v.ok, v.witness, v.note) == verify_design_oracle(fam, kind, rho)
+
+
+@pytest.mark.parametrize("l, m", [(3, 100), (4, 128), (62, 2), (64, 5)])
+def test_greedy_design_matches_oracle_in_row_blocks(l, m):
+    with patch.object(design_module, "_BLOCK_CELLS", 64):
+        _same_design(l, m)
+
+
+def test_verify_design_beyond_machine_integers():
+    # elements past 2^63 are renumbered, not cast
+    top = 2**70 - 1
+    fam = DesignFamily(2**70, 2, ((top, 0), (top, 1), (5, 2**64)))
+    for kind in ("design", "weak", "uniform-weak"):
+        for rho in (1, 2):
+            v = verify_design(fam, kind, rho)
+            assert (v.ok, v.witness, v.note) == verify_design_oracle(fam, kind, rho)
 
 
 # ---------------------------------------------------------------------------

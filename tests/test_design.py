@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,38 @@ class TestVerifyDesign:
         assert verdict.note == f"sum {2**61} > {2 * rho}"
         assert not verify_design(fam, "uniform-weak", rho)
         assert verify_design(fam, "weak", rho + Fraction(1, 3))
+
+    def test_huge_universe_allocates_only_elements_in_use(self):
+        fam = DesignFamily(10**9, 2, ((0, 1), (2, 3)))
+        tracemalloc.start()
+        try:
+            verdicts = [verify_design(fam, kind, 1) for kind in
+                        ("design", "weak", "uniform-weak")]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(verdicts)
+        assert peak < 1 << 20
+
+    def test_large_family_checked_in_row_blocks(self):
+        # 2048 disjoint 16-sets far apart in [10^9], except that the last
+        # shares two elements with the first: one whole (m, m, l) gather
+        # would be 64 MB
+        l, m = 16, 2048
+        sets = [tuple(j * 400_000 + k for k in range(l)) for j in range(m)]
+        sets[-1] = sets[0][:2] + sets[-1][2:]
+        fam = DesignFamily(10**9, l, tuple(sets))
+        tracemalloc.start()
+        try:
+            design = verify_design(fam, "design", 1)
+            weak = verify_design(fam, "weak", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (design.ok, design.witness) == (False, (1, m))
+        assert (weak.ok, weak.witness, weak.note) == (False, m, f"sum {m + 2} > {m - 1}")
+        assert verify_design(fam, "design", 4) and verify_design(fam, "weak", 2)
+        assert peak < 12 << 20
 
     def test_unknown_kind(self):
         with pytest.raises(DimensionError):

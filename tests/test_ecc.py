@@ -108,6 +108,17 @@ def test_field_mul_matches_naive_long_division():
             assert field.mul(a, b) == naive_field_mul(a, b, field.poly, 4)
 
 
+def test_field_mul_matches_naive_at_every_pinned_size():
+    # the sentinel tables give 0 for a zero factor and wrap the cycle
+    rng = Random(5)
+    for t in PINNED_POLYNOMIALS:
+        field, q = GField(t), 1 << t
+        pairs = [(0, 0), (0, q - 1), (q - 1, 0), (1, q - 1), (q - 1, q - 1)]
+        pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(40)]
+        for a, b in pairs:
+            assert field.mul(a, b) == naive_field_mul(a, b, field.poly, t), (t, a, b)
+
+
 def test_field_poly_eval_matches_naive_power_sum():
     field = GField(3)
     rng = Random(11)
@@ -326,6 +337,25 @@ def test_list_decode_budget_and_length_checks():
     code = build_code(5, Fraction(1, 4))
     with pytest.raises(DimensionError):
         brute_list_decode(code, BitString(code.nbar + 1))
+
+
+def test_list_decode_memory_bounded_at_large_field():
+    # n = 1 at t = 12: two messages, but 2^24 inner-distance cells; the
+    # decoder makes them a batch of field points at a time
+    code = build_code(1, Fraction(1, 90))
+    assert code.t == 12
+    center = code_encode(code, BitString(1, 1))
+    flipped = BitString(code.nbar, center.value ^ ((1 << (code.nbar // 4)) - 1))
+    tracemalloc.start()
+    try:
+        found = brute_list_decode(code, flipped, radius=Fraction(1, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [BitString(1, 1)]
+    assert brute_list_decode(code, flipped, radius=Fraction(1, 4) - Fraction(1, code.nbar)) == []
+    # a whole (2^t, 2^t) int64 table alone would be 128 MB
+    assert peak < 24 << 20
 
 
 def test_codeword_cap_refuses_before_allocating():
