@@ -111,6 +111,20 @@ class TestVerifyDesign:
         assert verify_design(fam, "design", 4) and verify_design(fam, "weak", 2)
         assert peak < 12 << 20
 
+    def test_repeated_elements_checked_in_row_blocks(self):
+        # 2048 copies of one 16-set: only 16 elements are in use, but the
+        # overlap gather still grows with m * l, so the blocks must too
+        l, m = 16, 2048
+        fam = DesignFamily(l, l, (tuple(range(l)),) * m)
+        tracemalloc.start()
+        try:
+            weak = verify_design(fam, "weak", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (weak.ok, weak.witness, weak.note) == (False, 2, f"sum {2**l} > {m - 1}")
+        assert peak < 12 << 20
+
     def test_unknown_kind(self):
         with pytest.raises(DimensionError):
             verify_design(disjoint_family(2, 2), "strong", 1)
