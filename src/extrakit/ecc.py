@@ -296,7 +296,8 @@ def brute_list_decode(
     No codeword is built: a message's distance is the sum over field
     points p of the inner distance between row P(p) and the center's
     block p, read from inner-distance tables made a batch of field points
-    at a time, so memory stays bounded whatever n and t are.
+    at a time and read a batch of messages at a time.  Beyond one
+    distance per message, each array stays within _BATCH_CELLS cells.
     """
     if center.length != code.nbar:
         raise DimensionError(

@@ -4,7 +4,9 @@ The library must give the oracles' inner rows and codewords at every
 field size t = 1..11, their decoded lists (default and explicit radius),
 their greedy designs, their overlap verdicts (ok, witness and note, for
 all three kinds, failing families included) and their Trevisan graph
-adjacency in plain and strong mode.  The oracles are the loop bodies in
+adjacency in plain and strong mode.  The decoder's batches and the
+overlap check's row blocks are also shrunk to a few cells, so that every
+batch and block boundary is crossed.  The oracles are the loop bodies in
 ``helpers.py``; nothing here reads the library's tables.
 """
 
@@ -71,21 +73,10 @@ def test_codewords_match_oracle(t, data):
     assert code_encode(code, BitString(n, xv)).value == encode_value_oracle(code, xv)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_list_decode_matches_oracle(data):
-    _same_decoded_list(data)
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), cells=st.integers(1, 40))
-def test_list_decode_matches_oracle_in_small_batches(data, cells):
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), cells=st.one_of(st.just(ecc_module._BATCH_CELLS), st.integers(1, 40)))
+def test_list_decode_matches_oracle(data, cells):
     # a few cells per batch split both the field points and the messages
-    with patch.object(ecc_module, "_BATCH_CELLS", cells):
-        _same_decoded_list(data)
-
-
-def _same_decoded_list(data):
     t = data.draw(st.integers(1, 4), label="t")
     n = data.draw(st.integers(1, min(t << t, 8)), label="n")
     code = Code(n, data.draw(st.sampled_from(DELTAS), label="delta"), t)
@@ -101,8 +92,9 @@ def _same_decoded_list(data):
         st.sampled_from([Fraction(-1, 4), Fraction(0), Fraction(1, 8), Fraction(1, 3),
                          Fraction(1, 2), Fraction(1), Fraction(10**20, 3)]),
     ), label="radius")
-    assert brute_list_decode(code, center, radius) == brute_list_decode_oracle(
-        code, center, radius)
+    with patch.object(ecc_module, "_BATCH_CELLS", cells):
+        found = brute_list_decode(code, center, radius)
+    assert found == brute_list_decode_oracle(code, center, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +139,11 @@ def families(draw):
     return DesignFamily(d, l, tuple(tuple(rng.sample(pool, l)) for _ in range(m)))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(fam=families(), kind=st.sampled_from(["design", "weak", "uniform-weak"]),
-       rho=st.sampled_from(RHOS))
-def test_verify_design_matches_oracle(fam, kind, rho):
-    v = verify_design(fam, kind, rho)
-    assert (v.ok, v.witness, v.note) == verify_design_oracle(fam, kind, rho)
-
-
-@settings(max_examples=200, deadline=None)
-@given(fam=families(), kind=st.sampled_from(["design", "weak", "uniform-weak"]),
-       rho=st.sampled_from(RHOS), cells=st.integers(1, 200))
-def test_verify_design_matches_oracle_in_row_blocks(fam, kind, rho, cells):
+       rho=st.sampled_from(RHOS),
+       cells=st.one_of(st.just(design_module._BLOCK_CELLS), st.integers(1, 200)))
+def test_verify_design_matches_oracle(fam, kind, rho, cells):
     # a few cells per block split the overlap matrix into many row blocks
     with patch.object(design_module, "_BLOCK_CELLS", cells):
         v = verify_design(fam, kind, rho)
