@@ -13,11 +13,13 @@ from itertools import combinations
 
 import numpy as np
 
-from extrakit import BipartiteGraph, BitString, sample_graph
+from extrakit import BipartiteGraph, BitString, EnumerableSet, compute_bad, sample_graph
 from extrakit.errors import (
     BudgetExceededError,
     DimensionError,
     EntropyDeficitError,
+    FeasibilityError,
+    FormatError,
     InvalidDistributionError,
 )
 
@@ -484,3 +486,71 @@ def trevisan_graph_oracle(p, strong: bool = False) -> np.ndarray:
                 out = (out << 1) | ((cw >> (nbar - 1 - v)) & 1)
             adj[xv, yv] = (yv << p.m) | out if strong else out
     return adj
+
+
+# ---------------------------------------------------------------------------
+# graph-file and coding oracles: the per-line bodies of ``graph.read_graph``
+# and ``graph.write_graph`` and the per-vertex body of
+# ``muchnik.iterative_chain`` from before they were vectorized.
+
+
+def write_graph_oracle(G: BipartiteGraph, fp) -> None:
+    fp.write(f"{G.N} {G.M} {G.D}\n")
+    for x in range(G.N):
+        fp.write(" ".join(str(int(z)) for z in G.adjacency[x]) + "\n")
+
+
+def read_graph_oracle(fp) -> BipartiteGraph:
+    header = fp.readline()
+    parts = header.split()
+    if len(parts) != 3:
+        raise FormatError(f"expected 'N M D' header, got {header!r}", line=1)
+    try:
+        N, M, D = (int(t) for t in parts)
+    except ValueError:
+        raise FormatError(f"non-integer in header {header!r}", line=1) from None
+    rows = []
+    for lineno in range(2, N + 2):
+        line = fp.readline()
+        if not line:
+            raise FormatError("unexpected end of graph file", line=lineno)
+        toks = line.split()
+        if len(toks) != D:
+            raise FormatError(f"expected {D} indices, got {len(toks)}", line=lineno)
+        try:
+            row = [int(t) for t in toks]
+        except ValueError:
+            raise FormatError(f"non-integer edge index in {line!r}", line=lineno) from None
+        bad = [z for z in row if not 0 <= z < M]
+        if bad:
+            raise FormatError(f"edge index {bad[0]} outside [0, {M})", line=lineno)
+        rows.append(row)
+    return BipartiteGraph(N, M, D, rows)
+
+
+def iterative_chain_oracle(graphs, S0, Ks=None):
+    """``(assignment, level_sizes)`` of the chain, one vertex at a time:
+    each good vertex of a level takes its least neighbour outside the
+    level's bad right set."""
+    Ks = [G.M for G in graphs] if Ks is None else list(Ks)
+    if len(Ks) != len(graphs):
+        raise DimensionError(f"{len(graphs)} graphs but {len(Ks)} K values")
+    assignment = {}
+    cur = S0
+    sizes = [len(cur)]
+    for i, (G, K) in enumerate(zip(graphs, Ks)):
+        if len(cur) == 0:
+            break
+        bad = compute_bad(G, cur, max(K, len(cur)), "all")
+        bad_set = set(bad.bad_left)
+        for a in cur.order:
+            if a not in bad_set:
+                assignment[a] = (i, min(z for z in G.adjacency[a].tolist()
+                                        if z not in bad.bad_right))
+        cur = EnumerableSet(bad.bad_left)
+        sizes.append(len(cur))
+    if len(cur) > 0:
+        raise FeasibilityError(
+            f"{len(cur)} vertices still uncoded after {len(graphs)} levels"
+        )
+    return assignment, tuple(sizes)
