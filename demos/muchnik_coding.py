@@ -12,13 +12,10 @@ from numpy.random import SeedSequence
 
 from extrakit import (
     EnumerableSet,
-    compute_bad,
-    decode,
+    code_set,
     degree_bound,
     ExistenceParams,
     iterative_chain,
-    muchnik_encode,
-    neighbor_rank,
     sample_graph,
     verify_extractor,
     verify_fortnow,
@@ -42,13 +39,11 @@ print(f"bad-left sizes over {report.trials} random sets: "
       f"majority max {report.max_majority} (bound {report.bound_majority})")
 
 S = EnumerableSet((9, 3, 12, 6))
-bad = compute_bad(G, S, K, "all")
-print(f"\nS = {S.order}: {len(bad.bad_right)} overloaded rights, "
-      f"{len(bad.bad_left)} bad lefts")
-for A in S:
-    X, j = muchnik_encode(G, S, A)
-    r = neighbor_rank(G, S, X, A)
-    back = decode(G, S, X, r)
+code = code_set(G, S, K)
+print(f"\nS = {S.order}: {len(code.bad.bad_right)} overloaded rights, "
+      f"{len(code.bad.bad_left)} bad lefts")
+for A, X, j, r in zip(S.order, code.X.tolist(), code.j.tolist(), code.rank.tolist()):
+    back = code.decode(X, r)
     print(f"  A={A:2d} -> neighbor X={X} (edge #{j}), rank {r}; decode -> {back}")
 
 # The chain: adversarial graph where level 0 fails for everyone, a

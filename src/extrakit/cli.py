@@ -33,7 +33,6 @@ from .errors import (
 )
 from .graph import (
     DEFAULT_SUBSET_BUDGET,
-    BipartiteGraph,
     ExtractorSpec,
     prefix_graph,
     read_graph,
@@ -45,9 +44,10 @@ from .graph import (
 from .hashext import ToeplitzFamily, hash_extractor_eval
 from .muchnik import (
     EnumerableSet,
+    chain_graphs,
+    code_set,
     compute_bad,
     decode,
-    encode as muchnik_encode,
     encode_multi,
     iterative_chain,
     neighbor_rank,
@@ -369,18 +369,6 @@ def _cmd_compose_demo(args) -> int:
     return 0
 
 
-def _chain_graphs(G: BipartiteGraph) -> list[BipartiteGraph]:
-    """Right parts shrink by halving until a single vertex remains."""
-    graphs = []
-    i = 0
-    while True:
-        Mi = ((G.M - 1) >> i) + 1
-        graphs.append(BipartiteGraph(G.N, Mi, G.D, G.adjacency >> i))
-        if Mi == 1:
-            return graphs
-        i += 1
-
-
 def _cmd_muchnik_demo(args) -> int:
     G = parse_formats(args.graph, "graph")
     S = read_vertex_set(args.set)
@@ -393,8 +381,9 @@ def _cmd_muchnik_demo(args) -> int:
           eps=eps, rule=args.rule, set_size=len(S))
     failures = 0
 
-    bad_all = compute_bad(G, S, K, "all")
-    bad_maj = compute_bad(G, S, K, "majority")
+    code = code_set(G, S, K, args.rule)
+    bad_all = code.bad if args.rule == "all" else compute_bad(G, S, K, "all")
+    bad_maj = code.bad if args.rule == "majority" else compute_bad(G, S, K, "majority")
     bound_all, bound_maj = 2 * eps * K, 4 * eps * K
     out.write(
         f"bad_right={len(bad_all.bad_right)}"
@@ -408,15 +397,12 @@ def _cmd_muchnik_demo(args) -> int:
         out.write(f"violation rule=majority witness={bad_maj.bad_left}\n")
         failures += 1
 
-    bad = bad_all if args.rule == "all" else bad_maj
     threshold_hits = 2 * G.D * K  # decode index must stay below 2DK/M
-    for A in S:
-        if A in bad.bad_left:
+    for A, X, j, rank in zip(S.order, code.X.tolist(), code.j.tolist(), code.rank.tolist()):
+        if X < 0:
             out.write(f"A={A} bad=1\n")
             continue
-        X, j = muchnik_encode(G, S, A, args.rule, K)
-        rank = neighbor_rank(G, S, X, A)
-        back = decode(G, S, X, rank)
+        back = code.decode(X, rank)
         ok = int(back == A and rank * G.M < threshold_hits)
         out.write(
             f"A={A} X={X} seed_idx={j} rank={rank} decoded={back} ok={ok}\n"
@@ -452,7 +438,7 @@ def _cmd_muchnik_demo(args) -> int:
                     failures += 1
             out.write(f"multi A={A} X={X.to_text()} " + " ".join(ranks) + "\n")
 
-    chain = iterative_chain(_chain_graphs(G), S)
+    chain = iterative_chain(chain_graphs(G), S)
     out.write("chain_sizes=" + ",".join(str(s) for s in chain.level_sizes) + "\n")
     for A in S:
         if A in chain.assignment:

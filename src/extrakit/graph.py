@@ -11,6 +11,7 @@ enumeration is exhaustive, and budgets fail loudly instead of sampling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
@@ -46,7 +47,8 @@ __all__ = [
 #: Default ceiling on the number of subsets a verifier may enumerate.
 DEFAULT_SUBSET_BUDGET = 1 << 20
 #: Ceiling on the cells N*M of :attr:`BipartiteGraph.hist` (int64, so
-#: 512 MB); a larger graph raises BudgetExceededError before allocating.
+#: 512 MB), and on the uint64 words of :func:`verify_disperser`'s packed
+#: incidence; a larger graph raises BudgetExceededError before allocating.
 MAX_HIST_CELLS = 1 << 26
 
 #: Right events in the first block of :func:`_least_failing_event`.  Blocks
@@ -59,6 +61,8 @@ _LOW_BITS = 7
 #: stay far below a megabyte whatever the graph's width.
 _MIN_BATCH = 64
 _BATCH_CELLS = 4096
+#: Cells per ``%`` template in :func:`write_graph`.
+_WRITE_CELLS = 1 << 16
 
 
 class BipartiteGraph:
@@ -268,11 +272,14 @@ def verify_disperser(
     witness is ``(A, Y)`` with A the K smallest-index avoiding vertices and
     Y the first failing set in lexicographic order.
 
-    One scan serves every M.  Row z of a packed incidence, the transposed
-    ``hist > 0``, is the set of left vertices with an edge into z as a
-    bitmask in ``ceil(N/64)`` uint64 words.  The sets Y are taken in
-    lexicographic batches of ``max(64, 4096 // words)``; a batch ORs the
-    rows of each Y's members, and N minus the popcount is Y's number of
+    One scan serves every M.  Row z of a packed incidence is the set of
+    left vertices with an edge into z, as a bitmask in ``W = ceil(N/64)``
+    uint64 words (bit x % 64 of word x // 64), ORed in straight from the
+    adjacency: the words cost N*M bits, and ``hist`` is never built.  More
+    than :data:`MAX_HIST_CELLS` words (the 512 MB of the largest ``hist``)
+    raise BudgetExceededError before allocating.  The sets Y are taken in
+    lexicographic batches of ``max(64, 4096 // W)``; a batch ORs the rows
+    of each Y's members, and N minus the popcount is Y's number of
     avoiders.
     """
     eps = as_fraction(eps)
@@ -287,9 +294,16 @@ def verify_disperser(
             budget=max_subsets,
         )
     W = -(-G.N // 64)
-    inc = np.zeros((G.M, 64 * W), dtype=bool)
-    inc[:, : G.N] = G.hist.T > 0
-    words = np.packbits(inc, axis=1).view(np.uint64)
+    if G.M * W > MAX_HIST_CELLS:
+        raise BudgetExceededError(
+            f"packed incidence of M*ceil(N/64) = {G.M * W} words exceeds budget {MAX_HIST_CELLS}",
+            requested=G.M * W,
+            budget=MAX_HIST_CELLS,
+        )
+    x = np.repeat(np.arange(G.N, dtype=np.int64), G.D)
+    bit = np.left_shift(np.uint64(1), (x & 63).astype(np.uint64))
+    words = np.zeros((G.M, W), dtype=np.uint64)
+    np.bitwise_or.at(words, (G.adjacency.ravel(), x >> 6), bit)
     for Ys in _combination_chunks(G.M, L, max(_MIN_BATCH, _BATCH_CELLS // W)):
         hit = np.zeros((len(Ys), W), dtype=np.uint64)
         for j in range(L):
@@ -298,7 +312,8 @@ def verify_disperser(
         hits = np.flatnonzero(avoiders >= K)
         if hits.size:
             r = hits[0]
-            avoid = np.unpackbits(hit[r].view(np.uint8), count=G.N) == 0
+            lefts = np.arange(G.N, dtype=np.int64)
+            avoid = (hit[r][lefts >> 6] >> (lefts & 63).astype(np.uint64)) & np.uint64(1) == 0
             A = np.flatnonzero(avoid)[:K]
             return Verdict(False, witness=(tuple(A.tolist()), tuple(Ys[r].tolist())))
     return Verdict(True, note=f"checked all C({G.M},{L}) right sets")
@@ -477,12 +492,31 @@ def worst_flat_distance(
 
 
 def write_graph(G: BipartiteGraph, fp: TextIO) -> None:
+    """Header ``N M D``, then row x's D right indices, space-separated.
+
+    Rows are printed ``_WRITE_CELLS`` cells at a time through one
+    ``%d`` template, so the temporaries stay bounded at any N.
+    """
     fp.write(f"{G.N} {G.M} {G.D}\n")
-    for x in range(G.N):
-        fp.write(" ".join(str(int(z)) for z in G.adjacency[x]) + "\n")
+    row = " ".join(["%d"] * G.D) + "\n"
+    step = max(1, _WRITE_CELLS // max(G.D, 1))
+    for lo in range(0, G.N, step):
+        block = G.adjacency[lo : lo + step]
+        fp.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_graph(fp: TextIO) -> BipartiteGraph:
+    """Parse the text format; a malformed file raises :class:`FormatError`
+    naming its first bad line.
+
+    The N lines after the header are rows, whatever follows them is left
+    in ``fp``, and each row holds D tokens that Python ``int`` accepts, in
+    ``[0, M)``.  A body of N lines of digits, spaces and newlines, D tokens
+    each, of at most 18 digits, is parsed in one numpy pass; any other
+    body, and any body that fails a check, goes through the per-line loop
+    :func:`_parse_rows`, which accepts the same texts and names the error.
+    Nothing of size N*D is allocated before the body holds N lines.
+    """
     header = fp.readline()
     parts = header.split()
     if len(parts) != 3:
@@ -491,11 +525,53 @@ def read_graph(fp: TextIO) -> BipartiteGraph:
         N, M, D = (int(t) for t in parts)
     except ValueError:
         raise FormatError(f"non-integer in header {header!r}", line=1) from None
+    lines = list(islice(fp, max(0, min(N, sys.maxsize))))
+    adjacency = _parse_body(lines, N, M, D) if len(lines) == N else None
+    if adjacency is None:
+        adjacency = _parse_rows(lines, N, M, D)
+    return BipartiteGraph(N, M, D, adjacency)
+
+
+def _parse_body(lines: list[str], N: int, M: int, D: int):
+    """The N rows as one flat int64 array, or None when the text needs the
+    per-line loop: a character outside ``[0-9 \n]``, a line without D
+    tokens, a token of more than 18 digits, or an entry outside [0, M)."""
+    try:
+        buf = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    value = buf - np.uint8(ord("0"))  # bytes below "0" wrap past 9
+    digit = value < 10
+    if not (digit | (buf == ord(" ")) | (buf == ord("\n"))).all():
+        return None
+    # tokens are the runs of digits: [starts[t], ends[t])
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, ends = edges[::2], edges[1::2]
+    if starts.size != N * D:
+        return None
+    # D tokens before each "\n"; with the total, a last line without one holds D too
+    line_ends = np.flatnonzero(buf == ord("\n"))
+    if (np.diff(np.searchsorted(starts, line_ends), prepend=0) != D).any():
+        return None
+    if starts.size == 0:
+        return starts
+    widths = ends - starts
+    width = int(widths.max())
+    if width > 18:  # 10^18 - 1 is the widest run int64 always holds
+        return None
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(width, 0, -1):  # the k-th digit from each token's end
+        place = value[np.maximum(ends - k, 0)]
+        place[widths < k] = 0
+        values *= 10
+        values += place
+    return values if int(values.max()) < M else None
+
+
+def _parse_rows(lines: list[str], N: int, M: int, D: int) -> list[list[int]]:
+    """Line-by-line parse of the rows, raising at the first bad line."""
     rows = []
-    for lineno in range(2, N + 2):
-        line = fp.readline()
-        if not line:
-            raise FormatError("unexpected end of graph file", line=lineno)
+    for lineno, line in enumerate(lines, start=2):
         toks = line.split()
         if len(toks) != D:
             raise FormatError(f"expected {D} indices, got {len(toks)}", line=lineno)
@@ -507,4 +583,6 @@ def read_graph(fp: TextIO) -> BipartiteGraph:
         if bad:
             raise FormatError(f"edge index {bad[0]} outside [0, {M})", line=lineno)
         rows.append(row)
-    return BipartiteGraph(N, M, D, rows)
+    if len(lines) < N:
+        raise FormatError("unexpected end of graph file", line=len(lines) + 2)
+    return rows

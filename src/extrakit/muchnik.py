@@ -44,8 +44,11 @@ __all__ = [
     "encode",
     "decode",
     "neighbor_rank",
+    "SetCode",
+    "code_set",
     "encode_multi",
     "ChainResult",
+    "chain_graphs",
     "iterative_chain",
 ]
 
@@ -113,6 +116,14 @@ def compute_bad(G: BipartiteGraph, S: EnumerableSet, K: int, rule: str) -> BadSe
     when all of its D edges end on bad rights ("all") or at least D/2 do
     ("majority").
     """
+    _, overloaded, stuck = _bad_masks(G, S, K, rule)
+    return _bad_sets(S, rule, overloaded, stuck)
+
+
+def _bad_masks(G: BipartiteGraph, S: EnumerableSet, K: int, rule: str):
+    """S's adjacency rows, the overloaded right vertices as an (M,) mask
+    and the bad members as an (|S|,) mask: the arrays behind
+    :func:`compute_bad`."""
     if rule not in RULES:
         raise DimensionError(f"rule {rule!r} not one of {RULES}")
     if K < len(S):
@@ -122,10 +133,14 @@ def compute_bad(G: BipartiteGraph, S: EnumerableSet, K: int, rule: str) -> BadSe
     overloaded = np.bincount(rows.ravel(), minlength=G.M) * G.M > 2 * G.D * K
     hits = overloaded[rows].sum(axis=1)
     stuck = hits == G.D if rule == "all" else 2 * hits >= G.D
+    return rows, overloaded, stuck
+
+
+def _bad_sets(S: EnumerableSet, rule: str, overloaded: np.ndarray, stuck: np.ndarray) -> BadSets:
     return BadSets(
         rule=rule,
         bad_right=frozenset(np.flatnonzero(overloaded).tolist()),
-        bad_left=tuple(a for a, s in zip(S.order, stuck) if s),
+        bad_left=tuple(a for a, s in zip(S.order, stuck.tolist()) if s),
     )
 
 
@@ -267,6 +282,82 @@ def neighbor_rank(G: BipartiteGraph, S: EnumerableSet, X: int, A: int) -> int:
         raise DimensionError(f"vertex {A} is not an X-adjacent member of S") from None
 
 
+@dataclass(frozen=True)
+class SetCode:
+    """The fingerprints of every member of S at once, from :func:`code_set`.
+
+    ``order`` holds S's members in enumeration order, and ``X``, ``j`` and
+    ``rank`` are aligned with it: member i's least good neighbor, the
+    first seed index reaching it, and its position among S's X-adjacent
+    members.  All three are -1 at the members in ``bad.bad_left``.
+    :meth:`decode` answers :func:`decode` from the table the ranks came
+    from.
+    """
+
+    bad: BadSets
+    order: np.ndarray
+    X: np.ndarray
+    j: np.ndarray
+    rank: np.ndarray
+    # the sorted table of distinct (right vertex, member position) edges:
+    # each vertex's run lists its adjacent members in enumeration order
+    _right: np.ndarray = field(repr=False)
+    _member: np.ndarray = field(repr=False)
+
+    def decode(self, X: int, idx: int) -> int:
+        """The idx-th member of S adjacent to X, as :func:`decode` gives it."""
+        lo = int(np.searchsorted(self._right, X, side="left"))
+        hi = int(np.searchsorted(self._right, X, side="right"))
+        if not 0 <= idx < hi - lo:
+            raise IndexError(
+                f"index {idx} out of range: only {hi - lo} members of S"
+                f" are adjacent to {X}"
+            )
+        return int(self.order[self._member[lo + idx]])
+
+
+def code_set(G: BipartiteGraph, S: EnumerableSet, K: int, rule: str = "all") -> SetCode:
+    """Encode every member of S in one pass, as :func:`encode` and
+    :func:`neighbor_rank` would one member at a time.
+
+    The bad sets are computed once, at (K, rule).  X is each adjacency
+    row's least entry outside the bad right set (a masked ``min``) and j
+    the first column holding it (``argmax``).  The ranks come from one
+    sort of the distinct (right vertex, member position) edges by vertex
+    and then position: a member's rank at X is its place in X's run of
+    that table, and the same table answers :meth:`SetCode.decode`.
+    """
+    rows, overloaded, stuck = _bad_masks(G, S, K, rule)
+    n = len(S)
+    coded = ~stuck
+    X = rows.min(axis=1, where=~overloaded[rows], initial=np.iinfo(np.int64).max)
+    X[stuck] = -1
+    j = np.full(n, -1, dtype=np.int64)
+    if coded.any():
+        j[coded] = (rows[coded] == X[coded, None]).argmax(axis=1)
+    # the distinct edges of each row, in member order
+    srt = np.sort(rows, axis=1)
+    first = np.ones(srt.shape, dtype=bool)
+    first[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    per_row = first.sum(axis=1)
+    member, right = np.repeat(np.arange(n), per_row), srt[first]
+    # as the edges come in member order, a stable sort by vertex is the
+    # lexsort of (vertex, member); the narrowest dtype gets numpy's radix sort
+    by_right = np.argsort(right.astype(np.min_scalar_type(int(right.max(initial=0)))), kind="stable")
+    right, member = right[by_right], member[by_right]
+    runs = np.flatnonzero(np.diff(right, prepend=-1))
+    place = np.empty(right.size, dtype=np.int64)
+    place[by_right] = np.arange(right.size) - np.repeat(runs, np.diff(runs, append=right.size))
+    # index of the edge (X_i, i) among the distinct edges in member order
+    edge = np.cumsum(per_row) - per_row + (first & (srt < X[:, None])).sum(axis=1)
+    rank = np.full(n, -1, dtype=np.int64)
+    rank[coded] = place[edge[coded]]
+    arrays = (np.array(S.order, dtype=np.int64).reshape(n), X, j, rank, right, member)
+    for a in arrays:
+        a.setflags(write=False)
+    return SetCode(_bad_sets(S, rule, overloaded, stuck), *arrays)
+
+
 def encode_multi(
     G: BipartiteGraph,
     sets: Sequence[tuple[EnumerableSet, int]],
@@ -324,6 +415,20 @@ class ChainResult:
         return len(self.level_sizes) - 1 if self.level_sizes[-1] == 0 else len(self.level_sizes)
 
 
+def chain_graphs(G: BipartiteGraph) -> list[BipartiteGraph]:
+    """The coarsening chain of ``G`` for :func:`iterative_chain`: level i
+    keeps ``adjacency >> i`` on ``ceil(M / 2^i)`` right vertices, halving
+    until a single right vertex remains."""
+    graphs = []
+    i = 0
+    while True:
+        Mi = ((G.M - 1) >> i) + 1
+        graphs.append(BipartiteGraph(G.N, Mi, G.D, G.adjacency >> i))
+        if Mi == 1:
+            return graphs
+        i += 1
+
+
 def iterative_chain(
     graphs: Sequence[BipartiteGraph],
     S0: EnumerableSet,
@@ -331,12 +436,13 @@ def iterative_chain(
 ) -> ChainResult:
     """Retry bad vertices on successive coarser graphs until all are coded.
 
-    Level i computes the all-rule bad set of the surviving vertices in
-    ``graphs[i]``; good vertices get assigned ``(i, X)`` with X their
-    least good neighbor there, bad ones go on to level i+1.  ``Ks[i]``
-    defaults to the level's right-part size.  Raises if vertices survive
-    past the last graph (a well-built chain ends with a right part small
-    enough that nothing is overloaded).
+    Level i codes the surviving vertices in ``graphs[i]`` with one
+    :func:`code_set` under the all rule; good vertices get assigned
+    ``(i, X)`` with X their least good neighbor there, bad ones go on to
+    level i+1.  ``Ks[i]`` defaults to the level's right-part size.  Raises
+    if vertices survive past the last graph (a well-built chain, such as
+    :func:`chain_graphs`, ends with a right part small enough that nothing
+    is overloaded).
     """
     Ks = [G.M for G in graphs] if Ks is None else list(Ks)
     if len(Ks) != len(graphs):
@@ -347,12 +453,11 @@ def iterative_chain(
     for i, (G, K) in enumerate(zip(graphs, Ks)):
         if len(cur) == 0:
             break
-        bad = compute_bad(G, cur, max(K, len(cur)), "all")
-        bad_set = set(bad.bad_left)
-        for a in cur.order:
-            if a not in bad_set:
-                assignment[a] = (i, _least_good(G, a, bad.bad_right))
-        cur = EnumerableSet(bad.bad_left)
+        code = code_set(G, cur, max(K, len(cur)), "all")
+        for a, X in zip(cur.order, code.X.tolist()):
+            if X >= 0:
+                assignment[a] = (i, X)
+        cur = EnumerableSet(code.bad.bad_left)
         sizes.append(len(cur))
     if len(cur) > 0:
         raise FeasibilityError(

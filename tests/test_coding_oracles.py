@@ -1,17 +1,91 @@
 """Whole-set coding against the per-vertex API and the per-vertex chain.
 
-``iterative_chain`` must give the per-vertex oracle's assignment and
-level sizes (or its error) on random chains of multigraphs, with right
-parts that are not powers of two and sets whose members are bad at
-some level.
+``code_set`` must give, for every member, the bad sets, the ``(X, j)``
+of ``encode`` (or -1 where ``encode`` refuses a bad member), the rank of
+``neighbor_rank``, and through ``SetCode.decode`` the answer or the
+IndexError of ``decode`` at every right vertex and index, under both
+rules.  ``iterative_chain`` must give the per-vertex oracle's assignment
+and level sizes (or its error).  The graphs are multigraphs whose right
+parts need not be powers of two, and the sets hold bad members.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from extrakit import BipartiteGraph, EnumerableSet, iterative_chain
-from extrakit.errors import DimensionError, FeasibilityError
+from extrakit import (
+    BipartiteGraph,
+    EnumerableSet,
+    code_set,
+    compute_bad,
+    decode,
+    iterative_chain,
+    muchnik_encode,
+    neighbor_rank,
+)
+from extrakit.errors import DimensionError, FeasibilityError, NoGoodNeighborError
 
 from helpers import iterative_chain_oracle
+
+
+def check_code_set(G, S, K, rule):
+    """Compare ``code_set`` with the per-vertex API; return how many
+    members are bad."""
+    code = code_set(G, S, K, rule)
+    bad = compute_bad(G, S, K, rule)
+    assert code.bad == bad
+    assert code.order.tolist() == list(S.order)
+    for a in (code.order, code.X, code.j, code.rank):
+        assert a.dtype == np.int64 and a.shape == (len(S),) and not a.flags.writeable
+    for A, X, j, rank in zip(S.order, code.X.tolist(), code.j.tolist(), code.rank.tolist()):
+        if A in bad.bad_left:
+            assert (X, j, rank) == (-1, -1, -1)
+            with pytest.raises(NoGoodNeighborError):
+                muchnik_encode(G, S, A, rule, K)
+            continue
+        assert (X, j) == muchnik_encode(G, S, A, rule, K)
+        assert rank == neighbor_rank(G, S, X, A)
+    for X in range(-1, G.M + 1):
+        for idx in range(-2, len(S) + 2):
+            try:
+                want = decode(G, S, X, idx)
+            except IndexError as exc:
+                with pytest.raises(IndexError) as err:
+                    code.decode(X, idx)
+                assert str(err.value) == str(exc)
+            else:
+                assert code.decode(X, idx) == want
+    return len(bad.bad_left)
+
+
+@st.composite
+def coding_cases(draw):
+    """A multigraph, a set in some enumeration order, and K >= |S|; a
+    narrow range of right endpoints makes multi-edges and overloads common."""
+    N, M, D = draw(st.integers(1, 10)), draw(st.integers(1, 9)), draw(st.integers(0, 5))
+    top = draw(st.integers(0, M - 1))
+    row = st.lists(st.integers(0, top), min_size=D, max_size=D)
+    G = BipartiteGraph(N, M, D, draw(st.lists(row, min_size=N, max_size=N)))
+    S = EnumerableSet(tuple(draw(st.permutations(range(N)))[: draw(st.integers(0, N))]))
+    return G, S, len(S) + draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=coding_cases(), rule=st.sampled_from(["all", "majority"]))
+def test_code_set_matches_the_per_vertex_api(case, rule):
+    check_code_set(*case, rule)
+
+
+def test_code_set_matches_on_larger_sets_with_bad_members():
+    rng = np.random.default_rng(61)
+    seen_bad = {"all": 0, "majority": 0}
+    for _ in range(12):
+        N, M, D = 48, int(rng.integers(3, 13)), int(rng.integers(1, 6))
+        G = BipartiteGraph(N, M, D, rng.integers(0, M, size=(N, D)) % int(rng.integers(1, M + 1)))
+        S = EnumerableSet(tuple(int(a) for a in rng.permutation(N)[: int(rng.integers(8, N))]))
+        for rule in seen_bad:
+            seen_bad[rule] += check_code_set(G, S, len(S), rule)
+    assert min(seen_bad.values()) > 0
 
 
 def chain_outcome(chain, graphs, S, Ks):

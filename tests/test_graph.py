@@ -2,6 +2,7 @@
 
 import io
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -271,6 +272,31 @@ class TestVerifyDisperser:
             verdict = verify_disperser(G, K, Fraction(1, 35))
             assert verdict.witness == disperser_witness_oracle(G, K, Fraction(1, 35))
 
+    def test_wide_right_side_packs_bits_not_hist(self):
+        # hist would be 2^22 int64 cells (32 MiB); the packed incidence is
+        # 2^16 words, and the witness is the oracle's
+        rng = np.random.default_rng(43)
+        G = random_graph(rng, 64, 1 << 16, 4)
+        eps = Fraction(1, 1 << 16)
+        tracemalloc.start()
+        try:
+            verdict = verify_disperser(G, 8, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.witness == disperser_witness_oracle(G, 8, eps)
+        assert peak < 4 << 20
+
+    def test_packed_incidence_budget_boundary(self, monkeypatch):
+        # M*ceil(N/64) words: 12 are allowed, 14 raise before allocating
+        monkeypatch.setattr(graph_module, "MAX_HIST_CELLS", 12)
+        eps = Fraction(1, 6)
+        G = BipartiteGraph(65, 6, 1, np.arange(65) % 6)
+        assert verify_disperser(G, 1, eps).witness == disperser_witness_oracle(G, 1, eps)
+        with pytest.raises(BudgetExceededError, match=r"M\*ceil\(N/64\) = 14 words") as exc:
+            verify_disperser(BipartiteGraph(65, 7, 1, np.arange(65) % 7), 1, eps)
+        assert (exc.value.requested, exc.value.budget) == (14, 12)
+
     def test_budget_hard_error(self):
         # L = ceil(eps*M) = 4 of M = 8 rights: C(8,4) = 70 sets
         with pytest.raises(BudgetExceededError, match="C\\(8,4\\) = 70 subsets") as exc:
@@ -451,8 +477,12 @@ def test_oversized_hist_refused_before_allocating(capsys, tmp_path):
     G = BipartiteGraph(N, M, 1, np.arange(N, dtype=np.int64))
     with pytest.raises(BudgetExceededError, match="hist"):
         worst_flat_distance(G, 1)
-    with pytest.raises(BudgetExceededError, match="hist"):
+    # the disperser packs N*M bits: 2^27 words at N = 2^13 exceed the same 2^26 cap
+    N = 1 << 13
+    G = BipartiteGraph(N, M, 1, np.arange(N, dtype=np.int64))
+    with pytest.raises(BudgetExceededError, match="packed incidence") as exc:
         verify_disperser(G, 1, Fraction(1, 2**20))
+    assert (exc.value.requested, exc.value.budget) == (1 << 27, 1 << 26)
     path = tmp_path / "wide.txt"
     with path.open("w") as fp:
         write_graph(G, fp)

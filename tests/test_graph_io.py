@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import extrakit.cli as cli
+import extrakit.graph as graph_module
 from extrakit import BipartiteGraph
 from extrakit.cli import parse_formats
 from extrakit.errors import ExtrakitError, FormatError
@@ -32,8 +33,15 @@ from helpers import read_graph_oracle, write_graph_oracle
 # right-part sizes: small ones, ones whose entries need 18, 19 or more
 # digits, and one past int64
 SIZES = st.one_of(st.integers(1, 12), st.sampled_from([10**17, 10**18 + 3, 2**62, 2**63, 10**25]))
-ODD_TOKENS = ["+1", "1_0", "-1", "-0", "0x1", "1.0", "٣", "00012", "0" * 20 + "1",
-              "9" * 25, "", "a", "1e3"]
+TOKENS = {
+    "sign": ["+1", "-1", "-0", "+0"],
+    "underscore": ["1_0", "0_1", "1__0", "_1"],
+    "unicode": ["٣", "１", "²"],
+    "long": ["0" * 17 + "1", "0" * 20 + "1", "9" * 18, "9" * 19, str(2**63), str(2**64 + 1), "9" * 25],
+    "junk": ["0x1", "1.0", "a", "1e3", ""],
+}
+MUTATIONS = ["drop", "add", "shift", "range", "separator", "crlf", "blank", "extra",
+             "header", "lone_cr", "pad", "no_final_newline", "truncate", *TOKENS]
 SEPARATORS = ["\t", "  ", "\x0b", "\x0c", "\x1c", "\xa0", " ", "\r"]
 
 
@@ -47,9 +55,9 @@ def outcome(reader, fp):
 
 
 @st.composite
-def graph_rows(draw):
+def graph_rows(draw, min_N=0):
     """Header numbers and rows of a valid graph file, as Python ints."""
-    N, M, D = draw(st.integers(0, 6)), draw(SIZES), draw(st.integers(0, 4))
+    N, M, D = draw(st.integers(min_N, 6)), draw(SIZES), draw(st.integers(0, 4))
     value = st.integers(0, M - 1)
     rows = draw(st.lists(st.lists(value, min_size=D, max_size=D), min_size=N, max_size=N))
     return N, M, D, rows
@@ -57,17 +65,13 @@ def graph_rows(draw):
 
 @st.composite
 def mutated_texts(draw):
-    N, M, D, rows = draw(graph_rows())
+    N, M, D, rows = draw(graph_rows(min_N=1))
     header = [N, M, D]
     lines = [[str(z) for z in row] for row in rows]
     ends = ["\n"] * N
     tail = ""
     truncate = False
-    for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from([
-            "drop", "add", "token", "separator", "crlf", "blank", "extra",
-            "header", "lone_cr", "pad", "no_final_newline", "truncate",
-        ]))
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=4)):
         r = draw(st.integers(0, max(len(lines) - 1, 0)))
         if kind == "truncate":
             truncate = True
@@ -79,11 +83,14 @@ def mutated_texts(draw):
             continue
         elif kind == "drop" and lines[r]:
             del lines[r][draw(st.integers(0, len(lines[r]) - 1))]
+        elif kind == "shift" and lines[r]:  # the token total stays N*D
+            lines[(r + 1) % len(lines)].append(lines[r].pop())
         elif kind == "add":
             lines[r].append(draw(st.sampled_from(["0", str(M), "7"])))
-        elif kind == "token" and lines[r]:
-            c = draw(st.integers(0, len(lines[r]) - 1))
-            lines[r][c] = draw(st.sampled_from(ODD_TOKENS + [str(M), str(M + 3)]))
+        elif kind in TOKENS and lines[r]:
+            lines[r][draw(st.integers(0, len(lines[r]) - 1))] = draw(st.sampled_from(TOKENS[kind]))
+        elif kind == "range" and lines[r]:
+            lines[r][draw(st.integers(0, len(lines[r]) - 1))] = str(M + draw(st.integers(0, 3)))
         elif kind == "separator" and len(lines[r]) > 1:
             c = draw(st.integers(1, len(lines[r]) - 1))
             lines[r][c] = draw(st.sampled_from(SEPARATORS)) + lines[r][c].lstrip()
@@ -120,7 +127,9 @@ def test_write_then_read_is_byte_identical_to_the_oracle(N, M, D, data):
     want = io.StringIO()
     write_graph_oracle(G, want)
     got = io.StringIO()
-    write_graph(G, got)
+    # a few cells per template, so that rows cross template boundaries
+    with patch.object(graph_module, "_WRITE_CELLS", data.draw(st.sampled_from([1, 2, 5, 7, 1 << 16]))):
+        write_graph(G, got)
     assert got.getvalue() == want.getvalue()
     assert read_graph(io.StringIO(got.getvalue())) == G
 
