@@ -534,8 +534,9 @@ def read_graph(fp: TextIO) -> BipartiteGraph:
 
 def _parse_body(lines: list[str], N: int, M: int, D: int):
     """The N rows as one flat int64 array, or None when the text needs the
-    per-line loop: a character outside ``[0-9 \n]``, a line without D
-    tokens, a token of more than 18 digits, or an entry outside [0, M)."""
+    per-line loop: a character other than a digit, a space or a newline, a
+    line without D tokens, a token of more than 18 digits, or an entry
+    outside [0, M)."""
     try:
         buf = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError:

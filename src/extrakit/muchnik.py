@@ -333,7 +333,7 @@ def code_set(G: BipartiteGraph, S: EnumerableSet, K: int, rule: str = "all") -> 
     X = rows.min(axis=1, where=~overloaded[rows], initial=np.iinfo(np.int64).max)
     X[stuck] = -1
     j = np.full(n, -1, dtype=np.int64)
-    if coded.any():
+    if coded.any():  # at D = 0 every member is bad, and argmax needs a column
         j[coded] = (rows[coded] == X[coded, None]).argmax(axis=1)
     # the distinct edges of each row, in member order
     srt = np.sort(rows, axis=1)
