@@ -30,8 +30,8 @@ from extrakit.graph import read_graph, write_graph
 
 from helpers import read_graph_oracle, write_graph_oracle
 
-# right-part sizes: small ones, ones whose entries need 18, 19 or more
-# digits, and one past int64
+# right-part sizes: small ones, and ones whose entries need 18, 19 or
+# more digits or do not fit int64
 SIZES = st.one_of(st.integers(1, 12), st.sampled_from([10**17, 10**18 + 3, 2**62, 2**63, 10**25]))
 TOKENS = {
     "sign": ["+1", "-1", "-0", "+0"],
@@ -112,8 +112,8 @@ def mutated_texts(draw):
     return text
 
 
-def random_graph_text(draw_rows):
-    N, M, D, rows = draw_rows
+def graph_text(case):
+    N, M, D, rows = case
     return f"{N} {M} {D}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
 
 
@@ -141,7 +141,7 @@ def test_read_graph_matches_the_oracle_on_mutated_texts(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=graph_rows().map(random_graph_text))
+@given(text=graph_rows().map(graph_text))
 def test_read_graph_matches_the_oracle_on_valid_texts(text):
     got = outcome(read_graph, io.StringIO(text))
     assert got[0] == "graph" or got[0] == "OverflowError"
