@@ -539,7 +539,7 @@ def _parse_body(lines: list[str], N: int, M: int, D: int):
     outside [0, M)."""
     try:
         buf = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError:
+    except (UnicodeEncodeError, TypeError):  # non-ASCII text, or bytes from a binary stream
         return None
     value = buf - np.uint8(ord("0"))  # bytes below "0" wrap past 9
     digit = value < 10

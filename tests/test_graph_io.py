@@ -173,6 +173,12 @@ def test_read_graph_leaves_lines_after_row_n_in_the_stream():
     assert fp.read() == "not a row\n"
 
 
+@pytest.mark.parametrize("data", [b"2 3 2\n0 1\n2 2\n", b"2 3 2\r\n0 1\r\n2 x\r\n", b"1 3 1\n"])
+def test_binary_streams_read_as_before(data):
+    # the per-line loop splits and parses bytes rows the same way
+    assert outcome(read_graph, io.BytesIO(data)) == outcome(read_graph_oracle, io.BytesIO(data))
+
+
 def test_reader_reads_a_text_file_with_crlf_line_ends(tmp_path):
     path = tmp_path / "g.txt"
     path.write_bytes(b"2 3 2\r\n0 1\r\n2 2\r\n")
