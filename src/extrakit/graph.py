@@ -525,7 +525,8 @@ def read_graph(fp: TextIO) -> BipartiteGraph:
         N, M, D = (int(t) for t in parts)
     except ValueError:
         raise FormatError(f"non-integer in header {header!r}", line=1) from None
-    lines = list(islice(fp, max(0, min(N, sys.maxsize))))
+    # readline, not iteration, so that a file's tell() still works afterwards
+    lines = list(islice(iter(fp.readline, header[:0]), max(0, min(N, sys.maxsize))))
     adjacency = _parse_body(lines, N, M, D) if len(lines) == N else None
     if adjacency is None:
         adjacency = _parse_rows(lines, N, M, D)

@@ -167,10 +167,15 @@ def test_parse_formats_matches_the_oracle_with_comment_lines(text, data):
         assert read(read_graph) == read(read_graph_oracle)
 
 
-def test_read_graph_leaves_lines_after_row_n_in_the_stream():
+def test_read_graph_leaves_lines_after_row_n_in_the_stream(tmp_path):
     fp = io.StringIO("2 3 1\n0\n2\nnot a row\n")
     assert read_graph(fp) == BipartiteGraph(2, 3, 1, [[0], [2]])
     assert fp.read() == "not a row\n"
+    path = tmp_path / "g.txt"
+    path.write_text("2 3 1\n0\n2\nnot a row\n")
+    with open(path, encoding="ascii") as fp:
+        assert read_graph(fp) == BipartiteGraph(2, 3, 1, [[0], [2]])
+        assert fp.tell() == 10 and fp.readline() == "not a row\n"
 
 
 @pytest.mark.parametrize("data", [b"2 3 2\n0 1\n2 2\n", b"2 3 2\r\n0 1\r\n2 x\r\n", b"1 3 1\n"])
