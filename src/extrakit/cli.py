@@ -75,10 +75,22 @@ def parse_eps(text: str) -> Fraction:
     return Fraction(p, q)
 
 
+#: A line of nothing but whitespace (as ``str.strip`` sees it), between
+#: newlines; the literal first character keeps the search fast.
+_BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
+
+
 def _strip_comments(path: str):
-    """File text minus comment/blank lines, with original line numbers kept."""
+    """File text minus comment/blank lines, with original line numbers kept.
+
+    A text without ``#`` and without blank lines is returned whole, its
+    line numbers ``range(1, lines + 1)``."""
     with open(path, "r", encoding="ascii") as fp:
         raw = fp.readlines()
+    text = "".join(raw)
+    ended = text if text.endswith("\n") else text + "\n"
+    if raw and "#" not in text and not _BLANK_LINE.search("\n" + ended):
+        return io.StringIO(text), range(1, len(raw) + 1)
     kept = []
     numbers = []
     for i, line in enumerate(raw, start=1):

@@ -11,10 +11,8 @@ enumeration is exhaustive, and budgets fail loudly instead of sampling.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
 from typing import Sequence, TextIO, Union
 
 import numpy as np
@@ -56,11 +54,11 @@ MAX_HIST_CELLS = 1 << 26
 #: cheap while a full scan pays numpy's per-call cost once per block.
 _FIRST_BLOCK = 32
 _LOW_BITS = 7
-#: Subsets per batch in the left-set and right-set scans is
-#: ``max(_MIN_BATCH, _BATCH_CELLS // width)``: each batch's 64-bit arrays
-#: stay far below a megabyte whatever the graph's width.
-_MIN_BATCH = 64
-_BATCH_CELLS = 4096
+#: Cells (rows times width) of each suffix table and each block of the
+#: left scans (:class:`_LexScan`): 256 KiB of uint64 words, 128 KiB of
+#: int32 counts, so a scan's peak stays under the right-event scan's.  A
+#: block holds at least one set whatever the width.
+_SCAN_CELLS = 1 << 15
 #: Cells per ``%`` template in :func:`write_graph`.
 _WRITE_CELLS = 1 << 16
 
@@ -240,16 +238,150 @@ def prefix_graph(G: BipartiteGraph, drop: int) -> BipartiteGraph:
 # verifiers
 
 
-def _combination_chunks(n: int, k: int, rows: int):
-    """The k-subsets of range(n) in lexicographic order, as int64 arrays of
-    at most ``rows`` rows and k columns."""
-    combos = combinations(range(n), k)
-    left = math.comb(n, k)
-    while left:
-        r = min(rows, left)
-        flat = np.fromiter(chain.from_iterable(islice(combos, r)), dtype=np.int64, count=r * k)
-        yield flat.reshape(r, k)
-        left -= r
+class _SubsetTable:
+    """Rows combined over the j-subsets of the last ``m + j`` of ``rows``,
+    for j = 1..``size``, in lexicographic order.
+
+    A j-set is its least element a followed by a (j-1)-set above a, and
+    the (j-1)-sets above a are the last C(n-1-a, j-1) sets of the level
+    below: level j is one gather of the level below, combined by ``op``
+    with ``rows[a]`` repeated over those runs.  ``vals`` is the top level
+    (level 1 is a view of ``rows``).  ``ends[j - 2][i]`` counts the sets
+    of level j whose least element is at most ``n - m - j + i``.
+    ``last`` holds each top-level set's largest element, when asked for.
+    """
+
+    __slots__ = ("n", "m", "size", "vals", "ends", "last")
+
+    def __init__(self, rows: np.ndarray, m: int, size: int, op: np.ufunc, need_last: bool):
+        n = len(rows)
+        lo = n - m - 1
+        vals = rows[lo:]
+        last = np.arange(lo, n) if need_last else None
+        runs = np.ones(m + 1, dtype=np.int64) if size > 1 else None  # m may be 2^20
+        ends = []
+        for j in range(2, size + 1):
+            runs = _binomial_runs(runs)
+            end = np.cumsum(runs)
+            tail = np.arange(end[-1]) + np.repeat(len(vals) - end, runs)
+            new = vals[tail]
+            vals = op(new, np.repeat(rows[lo - j + 1 : n - j + 1], runs, axis=0), out=new)
+            if need_last:
+                last = last[tail]
+            ends.append(end)
+        self.n, self.m, self.size = n, m, size
+        self.vals, self.ends, self.last = vals, ends, last
+
+    def members(self, r: int) -> list[int]:
+        """The elements of top-level set r."""
+        out = []
+        for j in range(self.size, 1, -1):
+            end = self.ends[j - 2]
+            i = int(np.searchsorted(end, r, "right"))
+            out.append(self.n - self.m - j + i)
+            below = int(self.ends[j - 3][-1]) if j > 2 else self.m + 1
+            r += below - int(end[i])
+        out.append(self.n - self.m - 1 + r)
+        return out
+
+
+def _binomial_runs(runs: np.ndarray) -> np.ndarray:
+    """From C(m + j - 1 - i, j - 1) for i = 0..m, the same at j + 1.
+
+    At level j of :class:`_SubsetTable` these count the j-sets whose least
+    element is the i-th candidate; summed from the right they give the
+    next level's (hockey stick)."""
+    return np.cumsum(runs[::-1])[::-1]
+
+
+class _LexScan:
+    """The k-subsets (k >= 1) of ``range(len(rows))`` in lexicographic
+    order, in blocks of consecutive sets, each set's ``rows`` combined by
+    ``op``.
+
+    A k-set splits into a base of ``k - q*s`` elements (1 to s) and q
+    chunks of s, where s is the largest size whose table of
+    C(n-k+s, s) rows of the given width fits :data:`_SCAN_CELLS` (at
+    least 1: that table is ``rows`` itself).  Chunk i ranges over one
+    :class:`_SubsetTable` of s-sets, and the chunks that may follow a
+    prefix whose largest element is a are that table's sets above a, a
+    contiguous tail.  So a block is a run of consecutive prefixes, each
+    paired with its tail: a ``np.repeat`` of prefix rows and a shifted
+    ``arange`` of tail rows, one gather of each combined by ``op``, at
+    most ``_SCAN_CELLS // width`` sets (and at least one).  Blocks come
+    out in lexicographic order, so the first set to meet a condition in
+    the first block that has one is the least such set.
+    """
+
+    def __init__(self, rows: np.ndarray, k: int, op: np.ufunc):
+        n, width = rows.shape
+        self.op = op
+        self.per = max(1, _SCAN_CELLS // width)
+        m = n - k
+        s = 1
+        while s < k and math.comb(m + s + 1, s + 1) <= self.per:
+            s += 1
+        q, r = divmod(k - 1, s)
+        self.tables = [
+            _SubsetTable(rows[: n - (q - i) * s], m, s if i else r + 1, op, i < q)
+            for i in range(q + 1)
+        ]
+        if q:
+            # tails[i]: a chunk table's s-sets that start i or more places
+            # above the least element the table holds
+            tails = np.ones(m + 1, dtype=np.int64)
+            for _ in range(s):
+                tails = _binomial_runs(tails)
+            self.tails = tails
+
+    def blocks(self):
+        """Yield ``(vals, where)`` per block: ``vals[r]`` is the combined
+        rows of the block's r-th set, and ``members(where, r)`` names it.
+        ``vals`` is read-only to the caller and valid until the next block."""
+        base, per, top = self.tables[0], self.per, len(self.tables) - 1
+        # one block iterator per depth, not nested generators: q may be large
+        stack = [(
+            (base.vals[lo : lo + per], base.last[lo : lo + per] if top else None, lo)
+            for lo in range(0, len(base.vals), per)
+        )]
+        while stack:
+            block = next(stack[-1], None)
+            if block is None:
+                stack.pop()
+            elif len(stack) > top:
+                yield block[0], block[2]
+            else:
+                stack.append(self._pairs(self.tables[len(stack)], len(stack) < top, *block))
+
+    def _pairs(self, table: _SubsetTable, need_last: bool, vals, last, where):
+        """The blocks of pairs (prefix, s-set of ``table`` above the
+        prefix's largest element) for the prefixes ``vals``, whose largest
+        elements are ``last``; each block is written into one buffer that
+        the next block overwrites."""
+        tails = self.tails[last + 1 - (table.n - table.m - table.size)]
+        ends = np.cumsum(tails)
+        shift = len(table.vals) - ends  # tail row of pair t of prefix i: t + shift[i]
+        total = int(ends[-1])
+        buf = np.empty((min(self.per, total), table.vals.shape[1]), dtype=table.vals.dtype)
+        for lo in range(0, total, self.per):
+            hi = min(lo + self.per, total)
+            i0 = int(np.searchsorted(ends, lo, "right"))
+            i1 = int(np.searchsorted(ends, hi, "left")) + 1
+            runs = np.minimum(ends[i0:i1], hi) - np.maximum(ends[i0:i1] - tails[i0:i1], lo)
+            pref = np.repeat(np.arange(i0, i1), runs)
+            suf = np.arange(lo, hi) + shift[pref]
+            out = np.take(table.vals, suf, axis=0, out=buf[: hi - lo])
+            yield (self.op(out, vals[pref], out=out),
+                   table.last[suf] if need_last else None, (pref, suf, where))
+
+    def members(self, where, r: int) -> tuple[int, ...]:
+        """The set at row r of the block that ``blocks`` gave ``where``."""
+        out: list[int] = []
+        for table in reversed(self.tables[1:]):
+            pref, suf, where = where
+            out[:0] = table.members(int(suf[r]))
+            r = int(pref[r])
+        return tuple(self.tables[0].members(where + r) + out)
 
 
 def _check_flat_size(G: BipartiteGraph, K: int) -> None:
@@ -270,19 +402,25 @@ def verify_disperser(
     more left vertices (avoided: no edge lands in Y).  Equivalent to every
     K-subset A of the left side having |Γ(A)| >= (1-eps)M.  On failure the
     witness is ``(A, Y)`` with A the K smallest-index avoiding vertices and
-    Y the first failing set in lexicographic order.
+    Y the first failing set in lexicographic order.  At eps = 0 the empty
+    Y fails; a negative eps raises DimensionError.
 
     One scan serves every M.  Row z of a packed incidence is the set of
     left vertices with an edge into z, as a bitmask in ``W = ceil(N/64)``
     uint64 words (bit x % 64 of word x // 64), ORed in straight from the
     adjacency: the words cost N*M bits, and ``hist`` is never built.  More
     than :data:`MAX_HIST_CELLS` words (the 512 MB of the largest ``hist``)
-    raise BudgetExceededError before allocating.  The sets Y are taken in
-    lexicographic batches of ``max(64, 4096 // W)``; a batch ORs the rows
-    of each Y's members, and N minus the popcount is Y's number of
-    avoiders.
+    raise BudgetExceededError before allocating.  The sets Y come from
+    :class:`_LexScan` in blocks of consecutive lexicographic runs, at most
+    ``_SCAN_CELLS // W`` sets each: a suffix table ORs the rows of every
+    s-set of the last M-L+s right vertices once, and a block ORs a run of
+    prefixes with their tails of that table.  N minus a row's popcount is
+    Y's number of avoiders, and the scan stops at the first failing row of
+    the first block that has one.
     """
     eps = as_fraction(eps)
+    if eps < 0:
+        raise DimensionError(f"error bound {eps} is negative")
     _check_flat_size(G, K)
     L = math.ceil(eps * G.M)
     if L > G.M:
@@ -300,22 +438,21 @@ def verify_disperser(
             requested=G.M * W,
             budget=MAX_HIST_CELLS,
         )
+    if L == 0:  # every left vertex avoids the empty set
+        return Verdict(False, witness=(tuple(range(K)), ()))
     x = np.repeat(np.arange(G.N, dtype=np.int64), G.D)
     bit = np.left_shift(np.uint64(1), (x & 63).astype(np.uint64))
     words = np.zeros((G.M, W), dtype=np.uint64)
     np.bitwise_or.at(words, (G.adjacency.ravel(), x >> 6), bit)
-    for Ys in _combination_chunks(G.M, L, max(_MIN_BATCH, _BATCH_CELLS // W)):
-        hit = np.zeros((len(Ys), W), dtype=np.uint64)
-        for j in range(L):
-            hit |= words[Ys[:, j]]
-        avoiders = G.N - np.bitwise_count(hit).sum(axis=1, dtype=np.int64)
-        hits = np.flatnonzero(avoiders >= K)
-        if hits.size:
-            r = hits[0]
+    scan = _LexScan(words, L, np.bitwise_or)
+    for hit, where in scan.blocks():
+        fails = np.bitwise_count(hit).sum(axis=1, dtype=np.int64) <= G.N - K
+        r = int(fails.argmax())
+        if fails[r]:
             lefts = np.arange(G.N, dtype=np.int64)
             avoid = (hit[r][lefts >> 6] >> (lefts & 63).astype(np.uint64)) & np.uint64(1) == 0
             A = np.flatnonzero(avoid)[:K]
-            return Verdict(False, witness=(tuple(A.tolist()), tuple(Ys[r].tolist())))
+            return Verdict(False, witness=(tuple(A.tolist()), scan.members(where, r)))
     return Verdict(True, note=f"checked all C({G.M},{L}) right sets")
 
 
@@ -457,10 +594,17 @@ def worst_flat_distance(
     uniform over [M], as an exact Fraction.  Ties resolve to the first set
     in lexicographic order.
 
-    Sets are taken in lexicographic batches of ``max(64, 4096 // M)``.  A
-    batch sums its sets' K rows of ``hist`` in place into one int64 array
-    and compares the integer numerators ``sum_z |M*E_z - K*D|``, which
-    share the denominator ``2*M*K*D``; only the winner becomes a Fraction.
+    The distance, cleared to integers, is ``sum_z |M*E_z - K*D|`` over the
+    shared denominator ``2*M*K*D``, and ``M*E_z - K*D`` is the sum over
+    A's members x of ``M*hist[x, z] - D``.  Those rows are summed by
+    :class:`_LexScan`: a suffix table adds the rows of every s-set of the
+    last N-K+s lefts once, and each block adds a run of consecutive
+    prefixes to their tails of that table, at most ``_SCAN_CELLS // M``
+    sets.  Blocks come in lexicographic order and a block's ``argmax``
+    takes its first maximum, so a later block replaces the best only when
+    strictly greater.  Counts are int32 while ``M*K*D < 2^31`` (every
+    partial sum then fits) and int64 otherwise; the numerators are summed
+    in int64, and only the winner becomes a Fraction.
     """
     _check_flat_size(G, K)
     if math.comb(G.N, K) > max_subsets:
@@ -469,22 +613,18 @@ def worst_flat_distance(
             requested=math.comb(G.N, K),
             budget=max_subsets,
         )
-    H = G.hist
     M, KD = G.M, K * G.D
-    best: tuple[int, ...] = ()
-    best_num = -1
-    for As in _combination_chunks(G.N, K, max(_MIN_BATCH, _BATCH_CELLS // M)):
-        E = np.zeros((len(As), M), dtype=np.int64)
-        for j in range(K):
-            E += H[As[:, j]]
-        # sum_z |E/KD - 1/M| / 2, cleared to integers: sum_z |M*E_z - KD| / (2*M*KD)
-        E *= M
-        E -= KD
-        num = np.abs(E, out=E).sum(axis=1)
+    rows = G.hist.astype(np.int32 if M * KD < 1 << 31 else np.int64)
+    rows *= M
+    rows -= G.D
+    scan = _LexScan(rows, K, np.add)
+    best, best_num = (None, 0), -1
+    for E, where in scan.blocks():
+        num = np.abs(E).sum(axis=1, dtype=np.int64)
         r = int(num.argmax())
         if num[r] > best_num:
-            best, best_num = tuple(As[r].tolist()), int(num[r])
-    return best, Fraction(best_num, 2 * M * KD)
+            best, best_num = (where, r), int(num[r])
+    return scan.members(*best), Fraction(best_num, 2 * M * KD)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +666,7 @@ def read_graph(fp: TextIO) -> BipartiteGraph:
     except ValueError:
         raise FormatError(f"non-integer in header {header!r}", line=1) from None
     # readline, not iteration, so that a file's tell() still works afterwards
-    lines = list(islice(iter(fp.readline, header[:0]), max(0, min(N, sys.maxsize))))
+    lines = [line for _, line in zip(range(N), iter(fp.readline, header[:0]))]
     adjacency = _parse_body(lines, N, M, D) if len(lines) == N else None
     if adjacency is None:
         adjacency = _parse_rows(lines, N, M, D)

@@ -470,6 +470,16 @@ def test_parse_formats_reports_original_line_numbers(tmp_path):
     assert "g.txt" in str(err.value)
 
 
+def test_parse_formats_comment_free_file_reports_original_line(tmp_path):
+    # no comment and no blank line: the text is read whole, and a bad row
+    # still names its line in the file, with the same message
+    path = write_lines(tmp_path / "g.txt", "3 2 1\n0\n1\n7\n")
+    with pytest.raises(FormatError) as err:
+        parse_formats(path, "graph")
+    assert err.value.line == 4
+    assert str(err.value) == f"line 4: {path}: edge index 7 outside [0, 2)"
+
+
 def test_parse_formats_bits_and_dist(tmp_path):
     path = write_lines(tmp_path / "b.txt", "# n=9\n9:b40\n")
     assert parse_formats(path, "bits") == BitString(9, 0b101101000)

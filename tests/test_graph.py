@@ -5,6 +5,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from extrakit import (
     worst_flat_distance,
 )
 from extrakit import graph as graph_module
+from extrakit import hashext
 from extrakit.cli import main as cli_main
 from extrakit.graph import read_graph, write_graph
 from extrakit.errors import BudgetExceededError, DimensionError, FormatError
@@ -68,6 +70,19 @@ def source_sizes(N):
 
 
 error_bounds = st.fractions(Fraction(1, 64), Fraction(63, 64), max_denominator=64)
+#: Patched values of the left scans' cell budget: from one set per block
+#: up to blocks and suffix tables of dozens of sets.
+scan_cells = st.integers(1, 200)
+
+
+def traced_peak(call):
+    """``call()`` and the peak of its traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBipartiteGraph:
@@ -287,6 +302,54 @@ class TestVerifyDisperser:
         assert verdict.witness == disperser_witness_oracle(G, 8, eps)
         assert peak < 4 << 20
 
+    def test_wide_right_side_scan_stays_small(self):
+        # the L = 1 sets are the rows of the packed incidence itself: no
+        # copy of range(M) and no table beyond the 2^16 words
+        G = random_graph(np.random.default_rng(43), 64, 1 << 16, 4)
+        eps = Fraction(1, 1 << 16)
+        verdict, peak = traced_peak(lambda: verify_disperser(G, 8, eps))
+        assert verdict.witness == disperser_witness_oracle(G, 8, eps)
+        assert peak < 2 << 20
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), cells=scan_cells)
+    def test_block_edges_match_oracle(self, data, cells):
+        G = data.draw(graphs(max_N=12, max_M=12))
+        K = data.draw(source_sizes(G.N))
+        eps = data.draw(error_bounds)
+        with patch.object(graph_module, "_SCAN_CELLS", cells):
+            verdict = verify_disperser(G, K, eps)
+        assert verdict.ok == (verdict.witness is None)
+        assert verdict.witness == disperser_witness_oracle(G, K, eps)
+
+    @pytest.mark.parametrize("cells", [1, 5, 16, 200])
+    def test_failure_in_the_last_block(self, cells):
+        # Lefts 2 and 7 reach only 0..8, so the only 3-set of the 12 rights
+        # that two lefts avoid is {9, 10, 11}: the last set, in the last block.
+        adj = np.tile(np.arange(12), (10, 1))
+        adj[[2, 7]] = np.arange(12) % 9
+        G = BipartiteGraph(10, 12, 12, adj)
+        eps = Fraction(1, 4)
+        with patch.object(graph_module, "_SCAN_CELLS", cells):
+            verdict = verify_disperser(G, 2, eps)
+            assert verify_disperser(G, 3, eps).ok
+        assert verdict.witness == ((2, 7), (9, 10, 11))
+        assert verdict.witness == disperser_witness_oracle(G, 2, eps)
+
+    def test_negative_error_bound_is_a_dimension_error(self, monkeypatch):
+        G = constant_graph(4, 4, 2)
+        with pytest.raises(DimensionError, match=r"^error bound -1/4 is negative$"):
+            verify_disperser(G, 2, Fraction(-1, 4))
+        # raised before the packed incidence is even sized
+        monkeypatch.setattr(graph_module, "MAX_HIST_CELLS", 1)
+        with pytest.raises(DimensionError, match="negative"):
+            verify_disperser(G, 2, "-1/8")
+
+    def test_zero_error_bound_fails_on_the_empty_set(self):
+        verdict = verify_disperser(passthrough(2), 3, 0)
+        assert verdict.witness == ((0, 1, 2), ())
+        assert verdict.witness == disperser_witness_oracle(passthrough(2), 3, Fraction(0))
+
     def test_packed_incidence_budget_boundary(self, monkeypatch):
         # M*ceil(N/64) words: 12 are allowed, 14 raise before allocating
         monkeypatch.setattr(graph_module, "MAX_HIST_CELLS", 12)
@@ -375,8 +438,9 @@ class TestWorstFlatDistance:
         assert worst_flat_distance(G, K) == worst_flat_oracle(G, K)
 
     def test_ties_across_batches_keep_first_maximum(self):
-        # With M = 64 a batch holds 64 sets; C(10,5) = 252 spans four.
-        # Left 9 copies left 0, so sets swapping 0 for 9 tie.
+        # Left 9 copies left 0, so sets swapping 0 for 9 tie; the first in
+        # lexicographic order must win, and on the constant graph every
+        # set ties.
         rng = np.random.default_rng(31)
         adj = rng.integers(0, 64, size=(10, 3))
         adj[9] = adj[0]
@@ -384,6 +448,61 @@ class TestWorstFlatDistance:
         assert worst_flat_distance(G, 5) == worst_flat_oracle(G, 5)
         A, val = worst_flat_distance(constant_graph(10, 64, 2), 5)
         assert A == (0, 1, 2, 3, 4) and val == Fraction(63, 64)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), cells=scan_cells)
+    def test_block_edges_match_per_subset_oracle(self, data, cells):
+        G = data.draw(graphs(max_N=12, max_M=4, max_D=3))
+        K = data.draw(source_sizes(G.N))
+        with patch.object(graph_module, "_SCAN_CELLS", cells):
+            assert worst_flat_distance(G, K) == worst_flat_oracle(G, K)
+
+    @pytest.mark.parametrize("cells", [1, 4, 12, 28, 200])
+    def test_ties_spanning_blocks_keep_first_maximum(self, cells):
+        # Lefts 2 and 6 send every edge to right 0, the rest one edge to
+        # each right, so a worst K-set is {2, 6} plus any K-2 others: ties
+        # that run through the whole scan, while a block holds 1 to 50 sets.
+        adj = np.tile(np.arange(4), (9, 1))
+        adj[[2, 6]] = 0
+        G = BipartiteGraph(9, 4, 4, adj)
+        for K in (3, 4, 6):
+            A, val = worst_flat_distance(G, K)
+            rows = adjacency_lists(G)
+            ties = [S for S in combinations(range(9), K)
+                    if naive_flat_distance(rows, S, 4) == val]
+            assert len(ties) > 1
+            with patch.object(graph_module, "_SCAN_CELLS", cells):
+                assert worst_flat_distance(G, K) == (ties[0], val) == worst_flat_oracle(G, K)
+
+    @pytest.mark.parametrize("D, dtype", [((1 << 14) - 1, np.int32), (1 << 14, np.int64),
+                                          (1 << 15, np.int64)])
+    def test_count_dtype_switches_at_2_to_the_31(self, D, dtype):
+        # M*K*D is 2^31 - 2^17, 2^31 and 2^32: the counts are int32 only
+        # below 2^31, and at 2^32 a set's sum M*E_z - K*D would wrap int32.
+        # Lefts 0 and 1 send every edge to right 0, so they are the worst set.
+        M, K = 1 << 16, 2
+        adj = np.zeros((4, D), dtype=np.int64)
+        adj[2:] = np.arange(D) % M
+        G = BipartiteGraph(4, M, D, adj)
+        seen = []
+        scan = graph_module._LexScan
+
+        def spy(rows, k, op):
+            seen.append(rows.dtype)
+            return scan(rows, k, op)
+
+        with patch.object(graph_module, "_LexScan", spy):
+            assert worst_flat_distance(G, K) == ((0, 1), Fraction(M - 1, M))
+        assert seen == [dtype]
+
+    def test_hash_graph_scan_stays_small(self):
+        # 16x128 Toeplitz hash graph, K = 8: the suffix tables and blocks
+        # are int32 and at most _SCAN_CELLS cells each
+        G = graph_of_function(hashext.hash_extractor_map(hashext.ToeplitzFamily(4, 2)))
+        G.hist
+        (A, val), peak = traced_peak(lambda: worst_flat_distance(G, 8))
+        assert val == Fraction(29, 128)
+        assert peak < 1.25 * (1 << 20)
 
 
 class TestGraphFile:
