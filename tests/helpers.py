@@ -554,3 +554,63 @@ def iterative_chain_oracle(graphs, S0, Ks=None):
             f"{len(cur)} vertices still uncoded after {len(graphs)} levels"
         )
     return assignment, tuple(sizes)
+
+
+def toeplitz_column_oracle(family, xv: int) -> np.ndarray:
+    """Values of every member on input ``xv``, as a (2^d,) uint16 array:
+    row i of member h is the n-bit window of h ending l-1-i bits from
+    the bottom, dotted over GF(2) with the bit-reversed input."""
+    n, l = family.n, family.l
+    if not 0 <= xv < (1 << n):
+        raise DimensionError(f"value {xv} does not fit in {n} bits")
+    xrev = 0
+    for j in range(n):
+        xrev |= ((xv >> j) & 1) << (n - 1 - j)
+    R = np.arange(1 << family.d, dtype=np.uint64)
+    col = np.zeros(1 << family.d, dtype=np.uint16)
+    for i in range(l):
+        window = (R >> np.uint64(l - 1 - i)) & np.uint64((1 << n) - 1)
+        col = (col << 1) | (np.bitwise_count(window & np.uint64(xrev)) & 1).astype(np.uint16)
+    return col
+
+
+def hash_table_oracle(family) -> np.ndarray:
+    """(2^d, 2^n) uint16 table, one oracle column per input."""
+    return np.stack(
+        [toeplitz_column_oracle(family, xv) for xv in range(1 << family.n)], axis=1
+    ).astype(np.uint16)
+
+
+def collision_prob_oracle(family, x1: int, x2: int) -> Fraction:
+    hits = int((toeplitz_column_oracle(family, x1) == toeplitz_column_oracle(family, x2)).sum())
+    return Fraction(hits, 1 << family.d)
+
+
+def flat_output_distance_oracle(family, support) -> Fraction:
+    """Distance from uniform of (h, h(x)) with x uniform on the distinct
+    support values: (member, value) counts summed as Fractions."""
+    sup = sorted(set(int(s) for s in support))
+    counts = {}
+    for s in sup:
+        for h, v in enumerate(toeplitz_column_oracle(family, s).tolist()):
+            counts[h, v] = counts.get((h, v), 0) + 1
+    total = len(sup) << family.d
+    u = Fraction(1, 1 << (family.d + family.l))
+    # cells missing from counts are each u below uniform; the distance is
+    # the sum of the positive gaps, which equals the sum of the negative ones
+    return sum((Fraction(c, total) - u for c in counts.values() if Fraction(c, total) > u),
+               Fraction(0))
+
+
+def seeded_table_oracle(F, n: int, d: int, m: int, xs) -> np.ndarray:
+    """Rows F(x, y) for x in ``xs``, seeds in order: one call per pair,
+    each output's length checked against m."""
+    out = np.empty((len(xs), 1 << d), dtype=np.int64)
+    for i, x in enumerate(xs):
+        xw = BitString(n, x)
+        for y in range(1 << d):
+            z = F(xw, BitString(d, y))
+            if z.length != m:
+                raise DimensionError(f"map produced {z.length} bits, expected {m}")
+            out[i, y] = z.value
+    return out
