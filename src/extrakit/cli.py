@@ -83,17 +83,21 @@ _BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
 def _strip_comments(path: str):
     """File text minus comment/blank lines, with original line numbers kept.
 
-    A text without ``#`` and without blank lines is returned whole, its
-    line numbers ``range(1, lines + 1)``."""
+    The leading run of comment and blank lines (a subcommand's echo
+    header) is skipped.  If the rest has no ``#`` and no blank line it is
+    returned whole, its line numbers ``range(skip + 1, lines + 1)``."""
     with open(path, "r", encoding="ascii") as fp:
         raw = fp.readlines()
-    text = "".join(raw)
+    skip = 0
+    while skip < len(raw) and (not raw[skip].strip() or raw[skip].strip().startswith("#")):
+        skip += 1
+    text = "".join(raw[skip:])
     ended = text if text.endswith("\n") else text + "\n"
-    if raw and "#" not in text and not _BLANK_LINE.search("\n" + ended):
-        return io.StringIO(text), range(1, len(raw) + 1)
+    if text and "#" not in text and not _BLANK_LINE.search("\n" + ended):
+        return io.StringIO(text), range(skip + 1, len(raw) + 1)
     kept = []
     numbers = []
-    for i, line in enumerate(raw, start=1):
+    for i, line in enumerate(raw[skip:], start=skip + 1):
         s = line.strip()
         if not s or s.startswith("#"):
             continue

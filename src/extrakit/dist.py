@@ -296,6 +296,23 @@ class SeededFunction:
             )
         return out
 
+    def table(self, xs) -> np.ndarray:
+        """Outputs of the source values ``xs`` under every seed, as int64.
+
+        Row i lists ``F(xs[i], y).value`` for y = 0 .. 2^d - 1, in seed
+        order, so the shape is (len(xs), 2^d).  Each pair goes through
+        :meth:`__call__` and its length checks; a source value outside
+        [0, 2^n) raises DimensionError.  Maps with a whole-table kernel
+        (the hash extractor) override this; :func:`push_forward` and
+        :func:`~extrakit.graph.graph_of_function` read only this method.
+        """
+        seeds = [BitString(self.d, y) for y in range(1 << self.d)]
+        out = np.empty((len(xs), len(seeds)), dtype=np.int64)
+        for i, x in enumerate(xs):
+            xw = BitString(self.n, x)
+            out[i] = [self(xw, y).value for y in seeds]
+        return out
+
     def __repr__(self) -> str:
         tag = f" {self.name}" if self.name else ""
         return f"SeededFunction(({self.n})x({self.d})->({self.m}){tag})"
@@ -387,14 +404,14 @@ def push_forward(F: SeededFunction, X: Dist) -> Dist:
     """
     if X.length != F.n:
         raise DimensionError(f"source length {X.length} but map expects {F.n}")
-    seeds = [BitString(F.d, y) for y in range(1 << F.d)]
+    D = 1 << F.d
     xs = X.support()
-    outs = [F(BitString(F.n, x), y).value for x in xs for y in seeds]
+    outs = F.table(xs).ravel()
     # each (x, y) pair weighs P(x)/2^d: exact ints keep a 2^d-fold total,
     # floats are divided here, before they are summed
-    pairs = Dist._of(X.length, X.weights, X.total * len(seeds))
+    pairs = Dist._of(X.length, X.weights, X.total * D)
     acc = _zeros(F.m, X.exact)
-    np.add.at(acc, outs, np.repeat(pairs.weights[xs], len(seeds)))
+    np.add.at(acc, outs, np.repeat(pairs.weights[xs], D))
     return Dist._of(F.m, acc, pairs.total)
 
 

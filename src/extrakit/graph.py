@@ -186,24 +186,21 @@ def graph_of_function(F, n: int | None = None, d: int | None = None, m: int | No
 
     ``F`` may be a :class:`SeededFunction` (bit lengths taken from it) or a
     plain callable on (BitString, BitString), in which case n, d, m are
-    required.
+    required.  The rows are ``F.table(range(N))``; a graph of more than
+    :data:`MAX_HIST_CELLS` edges raises BudgetExceededError first.
     """
-    if isinstance(F, SeededFunction):
-        n, d, m = F.n, F.d, F.m
-    if n is None or d is None or m is None:
-        raise DimensionError("plain callables need explicit n, d, m")
-    N, D, M = 1 << n, 1 << d, 1 << m
-    adj = np.empty((N, D), dtype=np.int64)
-    for x in range(N):
-        xw = BitString(n, x)
-        for y in range(D):
-            out = F(xw, BitString(d, y))
-            if out.length != m:
-                raise DimensionError(
-                    f"map produced {out.length} bits, expected {m}"
-                )
-            adj[x, y] = out.value
-    return BipartiteGraph(N, M, D, adj)
+    if not isinstance(F, SeededFunction):
+        if n is None or d is None or m is None:
+            raise DimensionError("plain callables need explicit n, d, m")
+        F = SeededFunction(n, d, m, F)
+    N, D = 1 << F.n, 1 << F.d
+    if N * D > MAX_HIST_CELLS:
+        raise BudgetExceededError(
+            f"graph of N*D = {N * D} edges exceeds budget {MAX_HIST_CELLS}",
+            requested=N * D,
+            budget=MAX_HIST_CELLS,
+        )
+    return BipartiteGraph(N, 1 << F.m, D, F.table(range(N)))
 
 
 def function_of_graph(G: BipartiteGraph, name: str = "") -> SeededFunction:

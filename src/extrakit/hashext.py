@@ -6,6 +6,15 @@ hashing is the matrix-vector product over GF(2).  Any two distinct
 inputs collide on exactly a 2^-l fraction of the family, which makes
 ``F(x, h) = h || h(x)`` an extractor with honestly counted seed length
 d = n+l-1 and output length d+l.
+
+The value T_h*x is bilinear over GF(2) in the description h and the
+input x, so the values of the whole family on a set of inputs are
+tabulated without evaluating any member: member 2^b (one diagonal set)
+maps x to the l-bit window of x that ends at bit d-1-b of ``x << (l-1)``,
+and the 2^d rows follow in d doubling steps,
+``V[2^b : 2^(b+1)] = V[:2^b] ^ V[2^b]``.  One kernel serves
+:func:`hash_table`, :func:`collision_prob`, :func:`flat_output_distance`
+and the extractor's :meth:`SeededFunction.table`.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import numpy as np
 from .bits import BitString
 from .dist import Dist, SeededFunction
 from .errors import BudgetExceededError, DimensionError, InvalidPairError
+from .graph import MAX_HIST_CELLS
 
 __all__ = [
     "MAX_FAMILY_BITS",
@@ -33,6 +43,9 @@ __all__ = [
 
 #: Enumerating a family is allowed up to 2^24 members.
 MAX_FAMILY_BITS = 24
+#: Cells (members times support values) of each counting block of
+#: :func:`flat_output_distance`: 512 KiB of int64 indices.
+_COUNT_CELLS = 1 << 16
 
 
 def _reverse_bits(v: int, width: int) -> int:
@@ -102,7 +115,7 @@ def hash_table(family: ToeplitzFamily, max_bits: int = MAX_FAMILY_BITS) -> np.nd
 
     Shape (2^d, 2^n), dtype uint16.  Used by exhaustive collision and
     linearity sweeps; refuses families beyond ``max_bits`` description
-    bits.
+    bits, and tables beyond :data:`~extrakit.graph.MAX_HIST_CELLS` cells.
     """
     if family.d > max_bits:
         raise BudgetExceededError(
@@ -110,27 +123,41 @@ def hash_table(family: ToeplitzFamily, max_bits: int = MAX_FAMILY_BITS) -> np.nd
             requested=family.size,
             budget=1 << max_bits,
         )
-    if family.l > 16:
+    return _values(family, np.arange(1 << family.n))
+
+
+def _values(family: ToeplitzFamily, xs) -> np.ndarray:
+    """Values of every member on the inputs ``xs``: uint16, (2^d, len(xs)).
+
+    Built by doubling from the rows of the d unit descriptions (see the
+    module docstring).  Refuses l > 16 and more than MAX_HIST_CELLS
+    cells before allocating; a value outside [0, 2^n) raises
+    DimensionError.
+    """
+    n, l, d = family.n, family.l, family.d
+    if l > 16:
         raise BudgetExceededError(
-            f"l={family.l} overflows the uint16 table", requested=family.l, budget=16
+            f"l={l} overflows the uint16 table", requested=l, budget=16
         )
-    table = np.empty((family.size, 1 << family.n), dtype=np.uint16)
-    for xv in range(1 << family.n):
-        table[:, xv] = _column(family, BitString(family.n, xv))
-    return table
-
-
-def _column(family: ToeplitzFamily, x: BitString) -> np.ndarray:
-    """Values of every family member on one input, as a (2^d,) array."""
-    n, l = family.n, family.l
-    maskn = (1 << n) - 1
-    xrev = np.uint64(_reverse_bits(x.value, n))
-    R = np.arange(1 << family.d, dtype=np.uint64)
-    col = np.zeros(1 << family.d, dtype=np.uint16)
-    for i in range(l):
-        window = (R >> np.uint64(l - 1 - i)) & np.uint64(maskn)
-        col = (col << 1) | (np.bitwise_count(window & xrev) & 1).astype(np.uint16)
-    return col
+    cells = family.size * len(xs)
+    if cells > MAX_HIST_CELLS:
+        raise BudgetExceededError(
+            f"value table of 2^{d} x {len(xs)} = {cells} cells exceeds budget {MAX_HIST_CELLS}",
+            requested=cells,
+            budget=MAX_HIST_CELLS,
+        )
+    x = np.asarray(xs)
+    bad = (x < 0) | (x >= 1 << n)
+    if bad.any():
+        raise DimensionError(f"value {x[bad.argmax()]} does not fit in {n} bits")
+    x = x.astype(np.int64)
+    V = np.empty((family.size, len(x)), dtype=np.uint16)
+    V[0] = 0
+    shifted = x << (l - 1)
+    for b in range(d):
+        unit = ((shifted >> (d - 1 - b)) & (family.L - 1)).astype(np.uint16)
+        np.bitwise_xor(V[: 1 << b], unit, out=V[1 << b : 2 << b])
+    return V
 
 
 def collision_prob(
@@ -156,7 +183,8 @@ def collision_prob(
             requested=family.size,
             budget=1 << max_bits,
         )
-    hits = int((_column(family, x1) == _column(family, x2)).sum())
+    V = _values(family, (x1.value, x2.value))
+    hits = int((V[:, 0] == V[:, 1]).sum())
     return Fraction(hits, family.size)
 
 
@@ -172,14 +200,27 @@ def hash_extractor_eval(
     return h + hash_eval(family, h, x)
 
 
+@dataclass(frozen=True, repr=False)
+class _HashExtractorMap(SeededFunction):
+    """The hash extractor with a whole-table :meth:`table`."""
+
+    family: ToeplitzFamily = None
+
+    def table(self, xs) -> np.ndarray:
+        """Row i is ``(h << l) | V[h, xs[i]]`` over the members h, in order."""
+        seeds = np.arange(self.family.size, dtype=np.int64) << self.family.l
+        return np.bitwise_or(_values(self.family, xs).T, seeds, order="C")
+
+
 def hash_extractor_map(family: ToeplitzFamily) -> SeededFunction:
     """The extractor as a checked (n) x (d) -> (d+l) seeded map."""
-    return SeededFunction(
+    return _HashExtractorMap(
         family.n,
         family.d,
         family.d + family.l,
         lambda x, h: hash_extractor_eval(family, x, h),
         name=f"hash-ext n={family.n} l={family.l}",
+        family=family,
     )
 
 
@@ -187,19 +228,26 @@ def flat_output_distance(family: ToeplitzFamily, support) -> Fraction:
     """Exact distance from uniform of the extractor output on a flat source.
 
     ``support`` is an iterable of n-bit values; the source is uniform on
-    it, the seed uniform over the whole family.  Enumerates every
-    (member, source value) pair and returns the statistical distance as
-    a Fraction — the measurement side of the leftover-hash bound.
+    its distinct values, the seed uniform over the whole family.  Counts
+    every (member, value) pair and returns the statistical distance as a
+    Fraction — the measurement side of the leftover-hash bound.
+
+    The values of all members on the support come from one table (see
+    the module docstring).  It is counted in blocks of members of at
+    most ``_COUNT_CELLS`` cells: one ``bincount`` over ``row*L + value``
+    gives the block's counts c[h, v], and the distance is
+    ``sum |c*L - K| / (2*K*2^d*L)`` over all cells, empty ones included.
     """
     sup = sorted(int(s) for s in set(support))
     if not sup:
         raise DimensionError("empty flat-source support")
-    K = len(sup)
-    counts = np.zeros((family.size, family.L), dtype=np.int64)
-    rows = np.arange(family.size)
-    for s in sup:
-        counts[rows, _column(family, BitString(family.n, s))] += 1
-    # distance = 1/2 * sum_{h,v} | c[h,v]/(K*2^d) - 1/(2^d*L) |
-    #          = sum |c*L - K| / (2*K*2^d*L)
-    num = int(np.abs(counts * family.L - K).sum())
-    return Fraction(num, 2 * K * family.size * family.L)
+    K, L = len(sup), family.L
+    V = _values(family, sup)
+    step = max(1, _COUNT_CELLS // max(K, L))
+    num = 0
+    for lo in range(0, family.size, step):
+        block = V[lo : lo + step]
+        cells = block + (np.arange(len(block)) * L)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=len(block) * L)
+        num += int(np.abs(counts * L - K).sum())
+    return Fraction(num, 2 * K * family.size * L)

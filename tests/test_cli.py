@@ -480,6 +480,19 @@ def test_parse_formats_comment_free_file_reports_original_line(tmp_path):
     assert str(err.value) == f"line 4: {path}: edge index 7 outside [0, 2)"
 
 
+@pytest.mark.parametrize("body, line", [
+    ("3 2 1\n0\n1\n7\n", 6),          # rows read whole after the header
+    ("3 2 1\n0\n# note\n1\n7\n", 7),  # a later comment: rows read line by line
+])
+def test_parse_formats_headed_file_reports_original_line(tmp_path, body, line):
+    # the echo header that sample-graph writes, then a bad row
+    path = write_lines(tmp_path / "g.txt", "# subcommand=sample-graph N=3 M=2 D=1\n\n" + body)
+    with pytest.raises(FormatError) as err:
+        parse_formats(path, "graph")
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {path}: edge index 7 outside [0, 2)"
+
+
 def test_parse_formats_bits_and_dist(tmp_path):
     path = write_lines(tmp_path / "b.txt", "# n=9\n9:b40\n")
     assert parse_formats(path, "bits") == BitString(9, 0b101101000)

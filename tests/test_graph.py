@@ -124,6 +124,15 @@ class TestGraphFunctionDuality:
         with pytest.raises(DimensionError):
             graph_of_function(lambda x, y: x)
 
+    def test_graph_budget_refused_before_tabulating(self):
+        # 2^20 sources times 2^7 seeds: refused before the map is called
+        def never(x, y):
+            raise AssertionError("map called before the budget check")
+
+        with pytest.raises(BudgetExceededError) as exc:
+            graph_of_function(SeededFunction(20, 7, 1, never))
+        assert (exc.value.requested, exc.value.budget) == (1 << 27, graph_module.MAX_HIST_CELLS)
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(DimensionError):
             function_of_graph(BipartiteGraph(3, 2, 1, [[0], [1], [0]]))

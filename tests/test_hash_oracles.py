@@ -9,6 +9,7 @@ repeat values.  The oracles are in ``helpers.py``.
 """
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from extrakit import (
     hash_extractor_map,
     push_forward,
 )
+import extrakit.hashext as hashext_module
 from extrakit.errors import DimensionError
 from extrakit.hashext import hash_table
 
@@ -148,3 +150,22 @@ class TestWrongOutputLength:
 def test_flat_output_distance_rejects_bad_support(support):
     with pytest.raises(DimensionError):
         flat_output_distance(ToeplitzFamily(4, 2), support)
+
+
+@settings(deadline=None, max_examples=30)
+@given(families.flatmap(lambda f: st.tuples(st.just(f), supports(f.n))),
+       st.sampled_from([1, 3, 64]))
+def test_flat_output_distance_blocks_match_oracle(case, cells):
+    # counting blocks of one to a few rows cross every block boundary
+    fam, support = case
+    with patch.object(hashext_module, "_COUNT_CELLS", cells):
+        got = flat_output_distance(fam, support)
+    assert got == flat_output_distance_oracle(fam, support)
+
+
+def test_extractor_table_checks_source_values():
+    E = hash_extractor_map(ToeplitzFamily(3, 2))
+    for xs in ([8], [-1], [1 << 70]):
+        with pytest.raises(DimensionError):
+            E.table(xs)
+    assert E.table([]).shape == (0, 16)

@@ -16,6 +16,7 @@ from extrakit import (
     hash_extractor_eval,
     hash_extractor_map,
 )
+from extrakit.graph import MAX_HIST_CELLS
 from extrakit.hashext import collision_measure, hash_table
 from extrakit.errors import DimensionError, InvalidPairError
 
@@ -104,6 +105,32 @@ class TestHashTable:
             collision_prob(ToeplitzFamily(16, 14), BitString(16, 0), BitString(16, 1),
                            max_bits=24)
         assert (exc.value.requested, exc.value.budget) == (1 << 29, 1 << 24)
+
+    def test_cell_budget_refuses_before_allocating(self, monkeypatch):
+        # d = 24 and l = 13 pass the member and uint16 checks, but the
+        # table would hold 2^24 * 2^12 cells (128 GiB)
+        from extrakit.errors import BudgetExceededError
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the budget check")
+
+        monkeypatch.setattr(np, "empty", no_alloc)
+        fam = ToeplitzFamily(12, 13)
+        with pytest.raises(BudgetExceededError) as exc:
+            hash_table(fam)
+        assert (exc.value.requested, exc.value.budget) == (1 << 36, MAX_HIST_CELLS)
+        with pytest.raises(BudgetExceededError) as exc:
+            flat_output_distance(fam, range(8))
+        assert (exc.value.requested, exc.value.budget) == (1 << 27, MAX_HIST_CELLS)
+
+    def test_wide_output_refused(self):
+        # a uint16 table cannot hold 17-bit values, for any caller
+        from extrakit.errors import BudgetExceededError
+        fam = ToeplitzFamily(2, 17)
+        for call in (lambda: collision_prob(fam, BitString(2, 0), BitString(2, 1)),
+                     lambda: flat_output_distance(fam, (0, 1))):
+            with pytest.raises(BudgetExceededError, match="overflows the uint16 table"):
+                call()
 
 
 class TestCollision:
