@@ -340,7 +340,8 @@ def hist_oracle(G: BipartiteGraph) -> np.ndarray:
 # construction oracles: the loop bodies of ``ecc.Code``, ``ecc.encode``,
 # ``ecc.brute_list_decode``, ``design.greedy_weak_design``,
 # ``design.verify_design`` and ``trevisan.trevisan_graph`` from before
-# codes and designs were built with numpy kernels.
+# codes and designs were built with numpy kernels, and the Fraction loop
+# that ``trevisan.trevisan_build`` took its log2(m/eps) term from.
 
 
 @functools.lru_cache(maxsize=None)
@@ -486,6 +487,24 @@ def trevisan_graph_oracle(p, strong: bool = False) -> np.ndarray:
                 out = (out << 1) | ((cw >> (nbar - 1 - v)) & 1)
             adj[xv, yv] = (yv << p.m) | out if strong else out
     return adj
+
+
+def _pow2(c: int) -> Fraction:
+    return Fraction(1 << c) if c >= 0 else Fraction(1, 1 << -c)
+
+
+def ceil_log2_oracle(v: Fraction) -> int:
+    """Exact log2 for powers of two, ceiling otherwise (v > 0), by stepping
+    a power of two up and down as Fractions."""
+    p, q = v.numerator, v.denominator
+    if p & (p - 1) == 0 and q & (q - 1) == 0:
+        return p.bit_length() - q.bit_length()
+    c = p.bit_length() - q.bit_length()
+    while _pow2(c) < v:
+        c += 1
+    while _pow2(c - 1) >= v:
+        c -= 1
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -4,38 +4,51 @@ The library must give the oracles' inner rows and codewords at every
 field size t = 1..11, their decoded lists (default and explicit radius),
 their greedy designs, their overlap verdicts (ok, witness and note, for
 all three kinds, failing families included) and their Trevisan graph
-adjacency in plain and strong mode.  The decoder's batches and the
-overlap check's row blocks are also shrunk to a few cells, so that every
-batch and block boundary is crossed.  The oracles are the loop bodies in
-``helpers.py``; nothing here reads the library's tables.
+adjacency in plain and strong mode.  The Trevisan map's ``table`` must
+give the oracle's rows for any list of source values, and its
+push-forward the per-pair oracle's weights; the feasibility gate's
+log2(m/eps) term must equal the Fraction loop's.  The decoder's batches
+and the overlap check's row blocks are also shrunk to a few cells, so
+that every batch and block boundary is crossed.  The oracles are the
+loop bodies in ``helpers.py``; nothing here reads the library's tables.
 """
 
+import functools
 from fractions import Fraction
 from random import Random
 from unittest.mock import patch
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import extrakit.design as design_module
 import extrakit.ecc as ecc_module
+import extrakit.trevisan as trevisan_module
 from extrakit import (
     BitString,
     Code,
     DesignFamily,
+    Dist,
     TrevisanParams,
     brute_list_decode,
     code_encode,
     greedy_weak_design,
+    push_forward,
+    trevisan_build,
     trevisan_graph,
+    trevisan_map,
     verify_design,
 )
+from extrakit.errors import DimensionError, FeasibilityError
 
 from helpers import (
     brute_list_decode_oracle,
+    ceil_log2_oracle,
     encode_value_oracle,
     greedy_weak_design_oracle,
     hadamard_rows_oracle,
+    push_forward_oracle,
     trevisan_graph_oracle,
     verify_design_oracle,
 )
@@ -170,19 +183,125 @@ def test_verify_design_beyond_machine_integers():
 # Trevisan graph
 
 
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_trevisan_graph_matches_oracle(data):
-    t = data.draw(st.integers(1, 3), label="t")
-    n = data.draw(st.integers(1, min(t << t, 4)), label="n")
-    m = data.draw(st.integers(1, 3), label="m")
-    d = data.draw(st.integers(2 * t, 2 * t + 2), label="d")
-    rng = Random(data.draw(st.integers(0, 2**32), label="seed"))
+@st.composite
+def trevisan_params(draw):
+    """Hand-assembled params with n <= 4 and d <= 2t + 2, small enough for
+    the per-pair oracles."""
+    t = draw(st.integers(1, 3), label="t")
+    n = draw(st.integers(1, min(t << t, 4)), label="n")
+    m = draw(st.integers(1, 3), label="m")
+    d = draw(st.integers(2 * t, 2 * t + 2), label="d")
+    rng = Random(draw(st.integers(0, 2**32), label="seed"))
     design = DesignFamily(d, 2 * t, tuple(tuple(rng.sample(range(d), 2 * t))
                                           for _ in range(m)))
-    code = Code(n, data.draw(st.sampled_from(DELTAS), label="delta"), t)
-    p = TrevisanParams(n=n, k=n, m=m, eps=QUARTER, code=code, design=design)
-    strong = data.draw(st.booleans(), label="strong")
+    code = Code(n, draw(st.sampled_from(DELTAS), label="delta"), t)
+    return TrevisanParams(n=n, k=n, m=m, eps=QUARTER, code=code, design=design)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=trevisan_params(), strong=st.booleans())
+def test_trevisan_graph_matches_oracle(p, strong):
     G = trevisan_graph(p, strong=strong)
+    n, m, d = p.n, p.m, p.d
     assert (G.N, G.M, G.D) == (1 << n, 1 << (m + d if strong else m), 1 << d)
     assert (G.adjacency == trevisan_graph_oracle(p, strong)).all()
+
+
+@settings(deadline=None)
+@given(data=st.data(), p=trevisan_params(), strong=st.booleans())
+def test_trevisan_table_matches_oracle(data, p, strong):
+    # unsorted source values, repeats and the empty list
+    xs = data.draw(st.lists(st.integers(0, (1 << p.n) - 1), max_size=(1 << p.n) + 4),
+                   label="xs")
+    got = trevisan_map(p, strong).table(xs)
+    assert got.dtype == np.int64 and got.shape == (len(xs), 1 << p.d)
+    assert np.array_equal(got, trevisan_graph_oracle(p, strong)[xs])
+
+
+@st.composite
+def trevisan_push_cases(draw):
+    p = draw(trevisan_params())
+    support = draw(st.lists(st.integers(0, (1 << p.n) - 1), min_size=1,
+                            max_size=(1 << p.n) + 4))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
+    mass = [0] * (1 << p.n)
+    for s, w in zip(support, weights):  # a repeated value gathers its weights
+        mass[s] += w
+    total = sum(mass)
+    if draw(st.booleans()):
+        X = Dist(p.n, [Fraction(w, total) for w in mass])
+    else:
+        ws = np.array(mass, dtype=np.float64)
+        X = Dist(p.n, ws / ws.sum())
+    return p, X
+
+
+@settings(deadline=None)
+@given(case=trevisan_push_cases(), strong=st.booleans())
+def test_trevisan_push_forward_matches_oracle(case, strong):
+    p, X = case
+    F = trevisan_map(p, strong)
+    got = push_forward(F, X)
+    want = push_forward_oracle(F, X)
+    if X.exact:
+        assert got.exact and list(got.probs) == want
+        assert sum(want) == 1
+    else:
+        assert not got.exact
+        assert got.probs.dtype == np.float64
+        assert got.probs.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("strong", [False, True])
+def test_trevisan_table_checks_source_values(strong):
+    p = TrevisanParams(n=4, k=4, m=2, eps=QUARTER, code=Code(4, QUARTER, 2),
+                       design=DesignFamily(5, 4, ((0, 1, 2, 3), (1, 2, 3, 4))))
+    F = trevisan_map(p, strong)
+    for xs in ([16], [-1], [1 << 70]):
+        with pytest.raises(DimensionError):
+            F.table(xs)
+    assert F.table([]).shape == (0, 32)
+
+
+# ---------------------------------------------------------------------------
+# the feasibility gate's log2(m/eps) term
+
+
+@st.composite
+def gate_cases(draw):
+    """m in 1..64 and eps in (0, 1): any fraction, or m/eps at or next to
+    a power of two."""
+    m = draw(st.integers(1, 64), label="m")
+    if draw(st.booleans(), label="near a power of two"):
+        c = draw(st.integers(m.bit_length(), m.bit_length() + 40), label="c")
+        eps = Fraction(m, (1 << c) + draw(st.integers(-1, 1), label="off"))
+    else:
+        eps = draw(st.fractions(0, 1, max_denominator=1 << 40), label="eps")
+    assume(0 < eps < 1)
+    return m, eps, draw(st.integers(m, 160), label="k")
+
+
+#: The gate's designs depend only on m here: each is built once.
+_gate_design = functools.lru_cache(maxsize=None)(greedy_weak_design)
+
+
+@settings(deadline=None)
+@given(case=gate_cases())
+def test_build_log_term_matches_oracle(case):
+    # the field is pinned at t = 5 (n <= 160), so that every (m, eps)
+    # gets a code; the gate's arithmetic does not read the code
+    m, eps, k = case
+    log_term = ceil_log2_oracle(Fraction(m) / eps)
+    with patch.object(trevisan_module, "build_code", lambda n, delta: Code(n, delta, 5)), \
+            patch.object(trevisan_module, "greedy_weak_design", _gate_design):
+        d = _gate_design(10, m, rho=1).d
+        slack = k - 3 * log_term - d - 3
+        if slack >= m:
+            assert trevisan_build(k, k, m, eps).rho_budget == Fraction(slack, m)
+        else:
+            with pytest.raises(FeasibilityError) as err:
+                trevisan_build(k, k, m, eps)
+            assert str(err.value) == (
+                f"infeasible: k - 3*log2(m/eps) - d - 3 >= m fails "
+                f"({k} - 3*{log_term} - {d} - 3 = {slack} < {m})"
+            )

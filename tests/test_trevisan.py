@@ -30,6 +30,8 @@ from extrakit import (
     worst_flat_distance,
 )
 
+from helpers import seeded_table_oracle
+
 
 def restriction_oracle(f: BitString, sets, y: BitString) -> BitString:
     """Recompute each output bit from scratch: read the seed positions of
@@ -219,12 +221,14 @@ def test_params_dimension_validation():
 
 
 def test_graph_matches_pointwise_map():
+    # the oracle calls the map once per (x, y) pair, through trevisan_eval
     p = toy_params(m=2)
     fn = trevisan_map(p)
     G = trevisan_graph(p)
-    H = graph_of_function(fn)
     assert (G.N, G.M, G.D) == (16, 4, 1 << p.d)
-    assert (G.adjacency == H.adjacency).all()
+    want = seeded_table_oracle(fn, p.n, p.d, p.m, range(16))
+    assert (G.adjacency == want).all()
+    assert (graph_of_function(fn).adjacency == want).all()
 
 
 def test_graph_strong_mode_prepends_seed():
@@ -236,9 +240,10 @@ def test_graph_strong_mode_prepends_seed():
         y = BitString(p.d, rng.getrandbits(p.d))
         assert fn(x, y) == y + trevisan_eval(p, x, y)
     G = trevisan_graph(p, strong=True)
-    H = graph_of_function(fn)
     assert G.M == 1 << (p.d + p.m)
-    assert (G.adjacency == H.adjacency).all()
+    want = seeded_table_oracle(fn, p.n, p.d, p.d + p.m, range(16))
+    assert (G.adjacency == want).all()
+    assert (graph_of_function(fn).adjacency == want).all()
 
 
 def test_tiny_instance_exact_verification():
