@@ -12,8 +12,6 @@ from extrakit import (
     brute_list_decode,
     build_code,
     code_encode,
-    greedy_weak_design,
-    nw_generate,
     trevisan_build,
     trevisan_eval,
 )

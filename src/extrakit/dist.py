@@ -302,8 +302,8 @@ class SeededFunction:
         Row i lists ``F(xs[i], y).value`` for y = 0 .. 2^d - 1, in seed
         order, so the shape is (len(xs), 2^d).  Each pair goes through
         :meth:`__call__` and its length checks; a source value outside
-        [0, 2^n) raises DimensionError.  Maps with a whole-table kernel
-        (the hash extractor) override this; :func:`push_forward` and
+        [0, 2^n) raises DimensionError.  The hash and Trevisan extractors
+        override this with whole-table kernels; :func:`push_forward` and
         :func:`~extrakit.graph.graph_of_function` read only this method.
         """
         seeds = [BitString(self.d, y) for y in range(1 << self.d)]

@@ -5,7 +5,9 @@ bits: bit i is f evaluated on the seed restricted to the i-th set of a
 combinatorial design.  The extractor instantiates f with the codeword
 of the source word x under the concatenated code (ecc module), whose
 2^(2t) truth-table length matches l = 2t, and keeps overlaps small with
-a weak design (design module).
+a weak design (design module).  One kernel, the table of
+:func:`trevisan_map`, serves :func:`trevisan_graph`, ``push_forward`` and
+the prefix check; :func:`trevisan_eval` evaluates one pair.
 
 Desk-scale parameters almost never satisfy the quality theorem's
 feasibility inequality, so the gated builder refuses them; the
@@ -16,6 +18,7 @@ can also be assembled by hand for structural experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -26,8 +29,8 @@ from .bits import BitString
 from .design import DesignFamily, greedy_weak_design, verify_design
 from .dist import SeededFunction, as_fraction
 from .ecc import Code, build_code, encode
-from .errors import DimensionError, FeasibilityError
-from .graph import BipartiteGraph
+from .errors import BudgetExceededError, DimensionError, FeasibilityError
+from .graph import MAX_HIST_CELLS, BipartiteGraph, graph_of_function
 
 __all__ = [
     "nw_generate",
@@ -109,23 +112,6 @@ class TrevisanParams:
         )
 
 
-def _pow2(c: int) -> Fraction:
-    return Fraction(1 << c) if c >= 0 else Fraction(1, 1 << -c)
-
-
-def _ceil_log2(v: Fraction) -> int:
-    """Exact log2 for powers of two, ceiling otherwise (v > 0); no floats."""
-    p, q = v.numerator, v.denominator
-    if p & (p - 1) == 0 and q & (q - 1) == 0:
-        return p.bit_length() - q.bit_length()
-    c = p.bit_length() - q.bit_length()
-    while _pow2(c) < v:
-        c += 1
-    while _pow2(c - 1) >= v:
-        c -= 1
-    return c
-
-
 def trevisan_build(n: int, k: int, m: int, eps) -> TrevisanParams:
     """Gated builder: code at delta = eps/4m, greedy weak design, budget check.
 
@@ -141,7 +127,8 @@ def trevisan_build(n: int, k: int, m: int, eps) -> TrevisanParams:
     code = build_code(n, delta)
     design = greedy_weak_design(code.l, m, rho=1)
     assert verify_design(design, "weak", 1)
-    log_term = _ceil_log2(Fraction(m) / eps)
+    # ceil(log2(m/eps)) is the bit length of ceil(m/eps) - 1, as m/eps > 1
+    log_term = (math.ceil(Fraction(m) / eps) - 1).bit_length()
     budget = Fraction(k - 3 * log_term - design.d - 3, m)
     if budget < 1:
         raise FeasibilityError(
@@ -161,49 +148,62 @@ def trevisan_eval(p: TrevisanParams, x: BitString, y: BitString) -> BitString:
     return nw_generate(encode(p.code, x), p.design, y)
 
 
+@dataclass(frozen=True, repr=False)
+class _TrevisanMap(SeededFunction):
+    """The Trevisan extractor with a whole-table :meth:`table`."""
+
+    params: TrevisanParams = None
+    strong: bool = False
+
+    def table(self, xs) -> np.ndarray:
+        """Rows for the source values ``xs``, vectorized over sources and seeds.
+
+        Builds no codeword: the seed restriction v to set i (2t bits)
+        selects codeword bit v, which is parity(P_x(v >> t) & (v mod 2^t)),
+        so one batch of outer symbols P_x of every source x serves every
+        seed.  Refuses more than MAX_HIST_CELLS cells before allocating.
+        """
+        p = self.params
+        D, t = 1 << p.d, p.code.t
+        cells = len(xs) * D
+        if cells > MAX_HIST_CELLS:
+            raise BudgetExceededError(
+                f"table of {len(xs)} x 2^{p.d} = {cells} cells exceeds budget {MAX_HIST_CELLS}",
+                requested=cells, budget=MAX_HIST_CELLS,
+            )
+        x = np.asarray(xs)
+        bad = (x < 0) | (x >= 1 << p.n)
+        if bad.any():
+            raise DimensionError(f"value {x[bad.argmax()]} does not fit in {p.n} bits")
+        seeds = np.arange(D, dtype=np.int64)
+        # the narrowest dtype holding a symbol keeps the (len(xs), D) gathers small
+        sym_dtype = np.min_scalar_type((1 << t) - 1)
+        symbols = p.code.evaluate(x).astype(sym_dtype)
+        parity = (np.bitwise_count(np.arange(1 << t)) & 1).astype(np.uint8)
+        adj = np.zeros((len(x), D), dtype=np.int64)
+        for s in p.design.sets:
+            v = np.zeros(D, dtype=np.int64)
+            for pos in s:  # seed bit at position pos (MSB-first) for every seed
+                v = (v << 1) | ((seeds >> (p.d - 1 - pos)) & 1)
+            bits = symbols[:, v >> t]
+            bits &= (v & ((1 << t) - 1)).astype(sym_dtype)
+            adj <<= 1
+            adj |= parity[bits]
+        if self.strong:
+            adj |= seeds << p.m
+        return adj
+
+
 def trevisan_map(p: TrevisanParams, strong: bool = False) -> SeededFunction:
     """The extractor as a checked seeded map; strong mode prepends the seed."""
-    if strong:
-        return SeededFunction(
-            p.n,
-            p.d,
-            p.d + p.m,
-            lambda x, y: y + trevisan_eval(p, x, y),
-            name=f"trevisan-strong n={p.n} m={p.m}",
-        )
-    return SeededFunction(
-        p.n,
-        p.d,
-        p.m,
-        lambda x, y: trevisan_eval(p, x, y),
-        name=f"trevisan n={p.n} m={p.m}",
+    return _TrevisanMap(
+        p.n, p.d, p.d + p.m if strong else p.m,
+        lambda x, y: y + trevisan_eval(p, x, y) if strong else trevisan_eval(p, x, y),
+        name=f"trevisan{'-strong' if strong else ''} n={p.n} m={p.m}",
+        params=p, strong=strong,
     )
 
 
 def trevisan_graph(p: TrevisanParams, strong: bool = False) -> BipartiteGraph:
-    """Whole-graph tabulation, vectorized over sources and seeds.
-
-    Equals graph_of_function(trevisan_map(p)) bit for bit but builds no
-    codeword: the seed restriction v to set i (2t bits) selects codeword
-    bit v, which is parity(P_x(v >> t) & (v mod 2^t)), so one batch of
-    outer symbols P_x of every source x serves every seed.
-    """
-    N, D, t = 1 << p.n, 1 << p.d, p.code.t
-    seeds = np.arange(D, dtype=np.int64)
-    # the narrowest dtype holding a symbol keeps the (N, D) gathers small
-    sym_dtype = np.min_scalar_type((1 << t) - 1)
-    symbols = p.code.evaluate(np.arange(N)).astype(sym_dtype)
-    parity = (np.bitwise_count(np.arange(1 << t)) & 1).astype(np.uint8)
-    adj = np.zeros((N, D), dtype=np.int64)
-    for s in p.design.sets:
-        v = np.zeros(D, dtype=np.int64)
-        for pos in s:  # seed bit at position pos (MSB-first) for every seed
-            v = (v << 1) | ((seeds >> (p.d - 1 - pos)) & 1)
-        bits = symbols[:, v >> t]
-        bits &= (v & ((1 << t) - 1)).astype(sym_dtype)
-        adj <<= 1
-        adj |= parity[bits]
-    if strong:
-        adj = (seeds[np.newaxis, :] << p.m) | adj
-        return BipartiteGraph(N, 1 << (p.d + p.m), D, adj)
-    return BipartiteGraph(N, 1 << p.m, D, adj)
+    """Whole-graph tabulation: ``graph_of_function(trevisan_map(p, strong))``."""
+    return graph_of_function(trevisan_map(p, strong))

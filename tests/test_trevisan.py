@@ -7,10 +7,12 @@ inequality recomputed in-test, and the exhaustive flat-source verifier.
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from extrakit import (
     BitString,
+    BudgetExceededError,
     Code,
     DesignFamily,
     DimensionError,
@@ -29,6 +31,8 @@ from extrakit import (
     verify_extractor,
     worst_flat_distance,
 )
+
+from extrakit.graph import MAX_HIST_CELLS
 
 from helpers import seeded_table_oracle
 
@@ -244,6 +248,29 @@ def test_graph_strong_mode_prepends_seed():
     want = seeded_table_oracle(fn, p.n, p.d, p.d + p.m, range(16))
     assert (G.adjacency == want).all()
     assert (graph_of_function(fn).adjacency == want).all()
+
+
+def test_oversize_tables_refused_before_allocating(monkeypatch):
+    # the built instance has d = 60; the hand-assembled one has n = 16 and
+    # d = 12, 2^28 cells, which fits in memory but not in the budget
+    big = trevisan_build(96, 96, 3, Fraction(9, 10))
+    wide = TrevisanParams(n=16, k=16, m=2, eps=Fraction(1, 4), code=Code(16, Fraction(1, 4), 3),
+                          design=DesignFamily(12, 6, ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11))))
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the budget check")
+
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    monkeypatch.setattr(np, "empty", no_alloc)
+    cases = [(lambda s: trevisan_graph(big, s), 1 << (96 + 60)),
+             (lambda s: trevisan_graph(wide, s), 1 << 28),
+             (lambda s: trevisan_map(big, s).table([0]), 1 << 60),
+             (lambda s: trevisan_map(wide, s).table(range(1 << 16)), 1 << 28)]
+    for call, cells in cases:
+        for strong in (False, True):
+            with pytest.raises(BudgetExceededError) as exc:
+                call(strong)
+            assert (exc.value.requested, exc.value.budget) == (cells, MAX_HIST_CELLS)
 
 
 def test_tiny_instance_exact_verification():
