@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from extrakit import BipartiteGraph, BitString, EnumerableSet, compute_bad, sample_graph
+from extrakit import BipartiteGraph, BitString, Dist, EnumerableSet, compute_bad, sample_graph
 from extrakit.errors import (
     BudgetExceededError,
     DimensionError,
@@ -187,6 +187,19 @@ def flat_decompose_oracle(X, K: int) -> list:
         total -= K * v
         components.append((K * v, sorted(chosen)))
     return components
+
+
+def source_dist(n: int, support, weights, exact: bool):
+    """The source putting ``weights`` on ``support`` (a repeated value
+    gathers its weights), as an exact or a float Dist."""
+    mass = [0] * (1 << n)
+    for s, w in zip(support, weights):
+        mass[s] += w
+    total = sum(mass)
+    if exact:
+        return Dist(n, [Fraction(w, total) for w in mass])
+    ws = np.array(mass, dtype=np.float64)
+    return Dist(n, ws / ws.sum())
 
 
 def push_forward_oracle(F, X):

@@ -29,7 +29,6 @@ from extrakit import (
     BitString,
     Code,
     DesignFamily,
-    Dist,
     TrevisanParams,
     brute_list_decode,
     code_encode,
@@ -49,6 +48,7 @@ from helpers import (
     greedy_weak_design_oracle,
     hadamard_rows_oracle,
     push_forward_oracle,
+    source_dist,
     trevisan_graph_oracle,
     verify_design_oracle,
 )
@@ -224,16 +224,7 @@ def trevisan_push_cases(draw):
     support = draw(st.lists(st.integers(0, (1 << p.n) - 1), min_size=1,
                             max_size=(1 << p.n) + 4))
     weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
-    mass = [0] * (1 << p.n)
-    for s, w in zip(support, weights):  # a repeated value gathers its weights
-        mass[s] += w
-    total = sum(mass)
-    if draw(st.booleans()):
-        X = Dist(p.n, [Fraction(w, total) for w in mass])
-    else:
-        ws = np.array(mass, dtype=np.float64)
-        X = Dist(p.n, ws / ws.sum())
-    return p, X
+    return p, source_dist(p.n, support, weights, draw(st.booleans()))
 
 
 @settings(deadline=None)

@@ -36,6 +36,7 @@ from helpers import (
     hash_table_oracle,
     push_forward_oracle,
     seeded_table_oracle,
+    source_dist,
 )
 
 families = st.builds(ToeplitzFamily, st.integers(1, 6), st.integers(1, 6))
@@ -91,16 +92,7 @@ def hash_push_cases(draw):
     fam = draw(small_families)
     support = draw(supports(fam.n))
     weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
-    mass = [0] * (1 << fam.n)
-    for s, w in zip(support, weights):  # a repeated value gathers its weights
-        mass[s] += w
-    total = sum(mass)
-    if draw(st.booleans()):
-        X = Dist(fam.n, [Fraction(w, total) for w in mass])
-    else:
-        ws = np.array(mass, dtype=np.float64)
-        X = Dist(fam.n, ws / ws.sum())
-    return fam, X
+    return fam, source_dist(fam.n, support, weights, draw(st.booleans()))
 
 
 @settings(deadline=None)

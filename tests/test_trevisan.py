@@ -20,7 +20,6 @@ from extrakit import (
     TrevisanParams,
     build_code,
     code_encode,
-    graph_of_function,
     greedy_weak_design,
     nw_generate,
     trevisan_build,
@@ -31,7 +30,6 @@ from extrakit import (
     verify_extractor,
     worst_flat_distance,
 )
-
 from extrakit.graph import MAX_HIST_CELLS
 
 from helpers import seeded_table_oracle
@@ -225,14 +223,14 @@ def test_params_dimension_validation():
 
 
 def test_graph_matches_pointwise_map():
-    # the oracle calls the map once per (x, y) pair, through trevisan_eval
+    # the oracle calls the map once per (x, y) pair, through trevisan_eval,
+    # while the graph reads the map's table
     p = toy_params(m=2)
     fn = trevisan_map(p)
     G = trevisan_graph(p)
     assert (G.N, G.M, G.D) == (16, 4, 1 << p.d)
     want = seeded_table_oracle(fn, p.n, p.d, p.m, range(16))
     assert (G.adjacency == want).all()
-    assert (graph_of_function(fn).adjacency == want).all()
 
 
 def test_graph_strong_mode_prepends_seed():
@@ -247,7 +245,6 @@ def test_graph_strong_mode_prepends_seed():
     assert G.M == 1 << (p.d + p.m)
     want = seeded_table_oracle(fn, p.n, p.d, p.d + p.m, range(16))
     assert (G.adjacency == want).all()
-    assert (graph_of_function(fn).adjacency == want).all()
 
 
 def test_oversize_tables_refused_before_allocating(monkeypatch):
