@@ -2,9 +2,9 @@
 
 The library must give the oracles' inner rows and codewords at every
 field size t = 1..11, their decoded lists (default and explicit radius),
-their greedy designs, their overlap verdicts (ok, witness and note, for
-all three kinds, failing families included) and their Trevisan graph
-adjacency in plain and strong mode.  The Trevisan map's ``table`` must
+their greedy designs and greedy blocks, their overlap verdicts (ok,
+witness and note, for all three kinds, failing families included) and
+their Trevisan graph adjacency in plain and strong mode.  The Trevisan map's ``table`` must
 give the oracle's rows for any list of source values, and its
 push-forward the per-pair oracle's weights; the feasibility gate's
 log2(m/eps) term must equal the Fraction loop's.  The decoder's batches
@@ -43,6 +43,7 @@ from extrakit.errors import DimensionError, FeasibilityError
 
 from helpers import (
     brute_list_decode_oracle,
+    build_block_oracle,
     ceil_log2_oracle,
     encode_value_oracle,
     greedy_weak_design_oracle,
@@ -139,6 +140,17 @@ def test_greedy_design_matches_oracle_large(l, m):
        rho=st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5)]))
 def test_greedy_design_matches_oracle_at_other_rho(l, m, rho):
     _same_design(l, m, rho)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), count=st.integers(1, 40), l=st.integers(1, 10))
+def test_build_block_matches_oracle(data, count, l):
+    # u = l leaves no choice, u = l*count allows disjoint sets; values in
+    # between make the greedy trade overlaps against each other
+    u = data.draw(st.one_of(st.just(l), st.just(l * count), st.integers(l, l * count)),
+                  label="u")
+    block = design_module._build_block(count, l, u)
+    assert list(map(tuple, block)) == build_block_oracle(count, l, list(range(u)))
 
 
 @st.composite

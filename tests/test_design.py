@@ -5,8 +5,12 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+from unittest.mock import patch
+
+import numpy as np
 import pytest
 
+import extrakit.design as design_module
 from extrakit import DesignFamily, greedy_weak_design, verify_design
 from extrakit.design import read_design, write_design
 from extrakit.errors import DimensionError, FeasibilityError, FormatError
@@ -158,6 +162,26 @@ class TestGreedyWeakDesign:
     def test_rho_below_one_single_set_fine(self):
         fam = greedy_weak_design(2, 1, rho=Fraction(1, 2))
         assert fam.m == 1
+
+    def test_overshooting_block_retries_on_doubled_universe(self):
+        # no real greedy block at rho = 1 overshoots, so the first call
+        # returns one set repeated: its running sums j * 2^l pass the
+        # budget m - 1 = 15 from j = 4 on
+        real = design_module._build_block
+        calls = []
+
+        def build(count, l, u):
+            calls.append((count, l, u))
+            if len(calls) == 1:
+                return np.array([range(l)] * count)
+            return real(count, l, u)
+
+        with patch.object(design_module, "_build_block", build):
+            fam = greedy_weak_design(2, 16)
+        # the first block has 8 sets on u = (3*2*2 + 1) // 2 = 6 < 2*8
+        assert calls[:2] == [(8, 2, 6), (8, 2, 12)]
+        assert fam.m == 16
+        assert verify_design(fam, "weak", 1)
 
 
 class TestDesignFile:
