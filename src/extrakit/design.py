@@ -3,13 +3,16 @@
 A family S_1..S_m of l-subsets of [d] seeds the Nisan-Wigderson
 generator; what matters is how much the sets overlap.  Three exact
 checks are provided (strict design, weak design, uniform weak design)
-plus a deterministic greedy construction of weak designs whose universe
-grows like l^2 * log m.
+plus a deterministic greedy construction of weak designs
+(Raz-Reingold-Vadhan 2002) whose universe grows like l^2 * log m.
 
 The construction works in blocks of halving size, largest first.  Sets
 in different blocks live on disjoint sub-universes, so each cross-block
 pair contributes only 2^0 = 1 to the overlap sum; within a block the
-elements are picked greedily to minimize the running potential.  Early
+elements are picked greedily to minimize the running potential.  That
+argmin is lazy: within a set an element's cost only grows as the set
+fills, so a cost computed earlier is a lower bound on the current one,
+and the least stored cost that is still exact is the true minimum.  Early
 blocks face many same-block neighbors but have most of the budget
 rho*(m-1) available; late blocks have little budget left but few
 same-block neighbors.  A block whose greedy pass cannot meet the bound
@@ -19,6 +22,8 @@ fresh elements always suffice for pairwise-disjoint sets.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from typing import TextIO
@@ -147,31 +152,63 @@ def verify_design(family: DesignFamily, kind: str, rho) -> Verdict:
     return Verdict(True, note=f"all {m} running sums within budget")
 
 
-def _build_block(count: int, l: int, u: int) -> np.ndarray:
+def _build_block(count: int, l: int, u: int) -> tuple[list, list]:
     """Greedily pick `count` l-subsets of range(u), minimizing potential.
 
     Each element choice minimizes the resulting sum over earlier
     same-block sets of 2^|overlap with the partial set|; ties go to the
-    smallest element (``argmin``).  ``cost[e]`` is that sum if e came
-    next: picking e doubles the term 2^inter[i] of every earlier set i
-    holding e, which adds the old term to the cost of each element of
-    set i.  Returns the block's sets as a (count, l) array of sorted rows.
+    smallest element.  For an element f that sum is its cost: the sum of
+    ``term[i]`` = 2^|S_i n partial set| over the earlier sets i holding
+    f.  Picking f doubles the term of every set holding f.
+
+    The argmin is lazy, over keys cost*u + f, so the least key is the
+    least cost with ties to the least element.  Terms only grow within a
+    set, so a key computed earlier in the set is a lower bound on the
+    element's current key.  The least stored key is popped and its cost
+    recomputed: if the key is still exact it is below every other
+    candidate's current key, so f is the argmin; otherwise the fresh key
+    goes on a per-set heap and the next least key is popped.  At the
+    start of a set every term is 1, so a cost is the number of earlier
+    sets holding f; those keys sit in one sorted base list that carries
+    across sets, where only the l picked keys move, by ``bisect``.
+
+    Returns the block's sets as sorted tuples and their running sums
+    sum over i < k of 2^|S_i n S_k|, which is the sum of the terms once
+    set k is complete.  Python ints keep every (l, count) exact.
     """
-    dtype = _sum_dtype(l, count)
-    taken = 1 << (l + count.bit_length())  # above every reachable cost
-    inc = np.zeros((count, u), dtype=np.uint8)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    holders: list[list[int]] = [[] for _ in range(u)]  # earlier sets holding f
+    base = list(range(u))  # keys len(holders[f]) * u + f, sorted
+    sets, sums = [], []
     for k in range(count):
-        earlier = inc[:k]
-        term = np.ones(k, dtype=dtype)
-        cost = earlier.sum(axis=0).astype(dtype)
+        term = [1] * k
+        term_at = term.__getitem__
+        pending: list[int] = []  # heap of re-evaluated keys
+        nxt = 0  # base[nxt:] is not yet popped in this set
+        picked = []
         for _pick in range(l):
-            e = int(np.argmin(cost))
-            rows = np.flatnonzero(earlier[:, e])
-            cost += term[rows] @ earlier[rows]
-            term[rows] *= 2
-            cost[e] = taken
-            inc[k, e] = 1
-    return np.nonzero(inc)[1].reshape(count, l)
+            while True:
+                if nxt < u and (not pending or base[nxt] < pending[0]):
+                    key = base[nxt]
+                    nxt += 1
+                else:
+                    key = heappop(pending)
+                f = key % u
+                fresh = sum(map(term_at, holders[f])) * u + f
+                if fresh == key:
+                    break
+                heappush(pending, fresh)
+            picked.append(f)
+            for i in holders[f]:
+                term[i] *= 2
+        sums.append(sum(term))
+        for f in picked:
+            old = len(holders[f]) * u + f
+            del base[bisect.bisect_left(base, old)]
+            bisect.insort(base, old + u)
+            holders[f].append(k)
+        sets.append(tuple(sorted(picked)))
+    return sets, sums
 
 
 def greedy_weak_design(l: int, m: int, rho=1) -> DesignFamily:
@@ -200,9 +237,8 @@ def greedy_weak_design(l: int, m: int, rho=1) -> DesignFamily:
         placed = len(all_sets)  # sets in earlier blocks: each contributes 2^0
         u = max(l, min(l * bsize, (3 * l * l + 1) // 2))
         while True:
-            block = _build_block(bsize, l, u)
-            within = _running_sums(block)
-            if np.all(placed + within <= math.floor(budget)):
+            block, within = _build_block(bsize, l, u)
+            if placed + max(within) <= budget:
                 break
             if u >= l * bsize:
                 # unreachable for rho >= 1: at u = l*bsize the greedy picks
@@ -211,7 +247,7 @@ def greedy_weak_design(l: int, m: int, rho=1) -> DesignFamily:
                     f"greedy block failed even on a disjoint universe (l={l}, m={m})"
                 )
             u = min(2 * u, l * bsize)
-        all_sets.extend(map(tuple, (block + next_elem).tolist()))
+        all_sets.extend(tuple(e + next_elem for e in s) for s in block)
         next_elem += u
     # compact the universe to the elements actually used
     used = sorted({e for s in all_sets for e in s})

@@ -2,15 +2,16 @@
 
 The library must give the oracles' inner rows and codewords at every
 field size t = 1..11, their decoded lists (default and explicit radius),
-their greedy designs and greedy blocks, their overlap verdicts (ok,
-witness and note, for all three kinds, failing families included) and
-their Trevisan graph adjacency in plain and strong mode.  The Trevisan map's ``table`` must
-give the oracle's rows for any list of source values, and its
-push-forward the per-pair oracle's weights; the feasibility gate's
-log2(m/eps) term must equal the Fraction loop's.  The decoder's batches
-and the overlap check's row blocks are also shrunk to a few cells, so
-that every batch and block boundary is crossed.  The oracles are the
-loop bodies in ``helpers.py``; nothing here reads the library's tables.
+their greedy designs and greedy blocks (with the blocks' running sums),
+their overlap verdicts (ok, witness and note, for all three kinds,
+failing families included) and their Trevisan graph adjacency in plain
+and strong mode.  The Trevisan map's ``table`` must give the oracle's
+rows for any list of source values, and its push-forward the per-pair
+oracle's weights; the feasibility gate's log2(m/eps) term must equal the
+Fraction loop's.  The decoder's batches and the overlap check's row
+blocks are also shrunk to a few cells, so that every batch and block
+boundary is crossed.  The oracles are the loop bodies in ``helpers.py``;
+nothing here reads the library's tables.
 """
 
 import functools
@@ -149,8 +150,9 @@ def test_build_block_matches_oracle(data, count, l):
     # between make the greedy trade overlaps against each other
     u = data.draw(st.one_of(st.just(l), st.just(l * count), st.integers(l, l * count)),
                   label="u")
-    block = design_module._build_block(count, l, u)
-    assert list(map(tuple, block)) == build_block_oracle(count, l, list(range(u)))
+    block, sums = design_module._build_block(count, l, u)
+    assert block == build_block_oracle(count, l, list(range(u)))
+    assert sums == design_module._running_sums(np.array(block)).tolist()
 
 
 @st.composite
@@ -177,8 +179,12 @@ def test_verify_design_matches_oracle(fam, kind, rho, cells):
 
 @pytest.mark.parametrize("l, m", [(3, 100), (4, 128), (62, 2), (64, 5)])
 def test_greedy_design_matches_oracle_in_row_blocks(l, m):
+    # the builder reads no row blocks; the weak check of its design does
     with patch.object(design_module, "_BLOCK_CELLS", 64):
         _same_design(l, m)
+        fam = greedy_weak_design(l, m)
+        v = verify_design(fam, "weak", 1)
+    assert (v.ok, v.witness, v.note) == verify_design_oracle(fam, "weak", 1)
 
 
 def test_verify_design_beyond_machine_integers():

@@ -4,10 +4,8 @@ import io
 import math
 import tracemalloc
 from fractions import Fraction
-
 from unittest.mock import patch
 
-import numpy as np
 import pytest
 
 import extrakit.design as design_module
@@ -173,7 +171,7 @@ class TestGreedyWeakDesign:
         def build(count, l, u):
             calls.append((count, l, u))
             if len(calls) == 1:
-                return np.array([range(l)] * count)
+                return [tuple(range(l))] * count, [j << l for j in range(count)]
             return real(count, l, u)
 
         with patch.object(design_module, "_build_block", build):
