@@ -1,5 +1,6 @@
 """Overlap designs: exact verification and the greedy construction."""
 
+import heapq
 import io
 import math
 import tracemalloc
@@ -180,6 +181,23 @@ class TestGreedyWeakDesign:
         assert calls[:2] == [(8, 2, 6), (8, 2, 12)]
         assert fam.m == 16
         assert verify_design(fam, "weak", 1)
+
+    def test_block_base_keys_stay_exact_across_sets(self):
+        # with room for disjoint sets, every pick is an unused element of
+        # cost 0, the least key of an up-to-date base list: no key is
+        # found stale and pushed back for re-evaluation
+        real_push = heapq.heappush
+        pushes = []
+
+        def push(heap, key):
+            pushes.append(key)
+            real_push(heap, key)
+
+        with patch.object(heapq, "heappush", push):
+            block, sums = design_module._build_block(12, 5, 60)
+        assert block == [tuple(range(5 * k, 5 * k + 5)) for k in range(12)]
+        assert sums == list(range(12))
+        assert pushes == []
 
 
 class TestDesignFile:
