@@ -181,9 +181,9 @@ def test_verify_design_matches_oracle(fam, kind, rho, cells):
 def test_greedy_design_matches_oracle_in_row_blocks(l, m):
     # the builder reads no row blocks; the weak check of its design does
     with patch.object(design_module, "_BLOCK_CELLS", 64):
-        _same_design(l, m)
         fam = greedy_weak_design(l, m)
         v = verify_design(fam, "weak", 1)
+    assert (fam.d, fam.sets) == greedy_weak_design_oracle(l, m), (l, m)
     assert (v.ok, v.witness, v.note) == verify_design_oracle(fam, "weak", 1)
 
 

@@ -99,19 +99,21 @@ def summarize(runs: list, spec: list) -> dict:
     """Per-metric comparison of a workload's pairs; ``runs`` holds dicts
     with one ``run_once`` result per side."""
     side = {s: [r[s] for r in runs] for s in SIDES}
-    metrics = {
-        m["name"]: dict(compare(*([x["metrics"][m["name"]] for x in side[s]] for s in SIDES),
-                                m["better"], m["bound"]),
-                        unit=m["unit"], better=m["better"], bound=m["bound"])
-        for m in spec
-    }
+
+    def paired(pick):
+        return tuple([pick(x) for x in side[s]] for s in SIDES)
+
+    metrics = {}
+    for m in spec:
+        name = m["name"]
+        metrics[name] = compare(*paired(lambda x: x["metrics"][name]), m["better"], m["bound"])
+        metrics[name].update(unit=m["unit"], better=m["better"], bound=m["bound"])
     return {
         "seeds": [r["seed"] for r in runs],
         "correct": {s: all(x["correct"] for x in side[s]) for s in SIDES},
         "failed_ops": {s: sum(x["failed"] for x in side[s]) for s in SIDES},
         "metrics": metrics,
-        "raw_ops_per_s": compare(*([x["raw_ops_per_s"] for x in side[s]] for s in SIDES),
-                                 "higher"),
+        "raw_ops_per_s": compare(*paired(lambda x: x["raw_ops_per_s"]), "higher"),
         "slowness": {s: spread([x["slowness"] for x in side[s]]) for s in SIDES},
         "commits": {s: sorted({x["git_commit"] for x in side[s]}, key=str) for s in SIDES},
         "runs": runs,
