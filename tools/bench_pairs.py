@@ -5,7 +5,8 @@
 
 Both trees are checkouts that hold ``perfbench/run.py`` and
 ``BENCHMARK.json``.  For the k-th workload named, pair i runs ``run.py
---seed SEED+100k+i --trace 0`` once on each tree, parent first in even
+--seed SEED+100k+i --seconds R --trace 0`` once on each tree, where R is
+the ``run_seconds`` of the parent's ``BENCHMARK.json``, parent first in even
 pairs and change first in odd ones, so drift of the host's speed over
 time falls on both sides alike.  Runs are sequential, each in fresh
 processes, and nothing in either tree is edited.
@@ -18,8 +19,11 @@ same summary is given for the raw ``ops_per_s`` and the calibration
 at least nine tenths of the pairs and its median beats the parent's by
 more than the parent's interquartile range; ``within_bound`` holds when
 the change's median is not worse than the parent's by more than the
-metric's bound.  Every run is kept with its seed, order, ``correct``
-flag and failed-op count.
+metric's bound.  A metric is ``unresolved`` (and ``within_bound`` is
+null) when either side's interquartile range, relative to the parent's
+median, is wider than the bound, unless every change run beats every
+parent run.  Every run is kept with its seed, order, ``correct`` flag
+and failed-op count.
 """
 
 from __future__ import annotations
@@ -90,8 +94,11 @@ def compare(parent: list, change: list, better: str, bound: float | None = None)
                  and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]),
     }
     if bound is not None:
+        widest = max(p["q3"] - p["q1"], c["q3"] - c["q1"])
+        separated = (min(change) > max(parent) if sign > 0 else max(change) < min(parent))
+        out["unresolved"] = widest > bound * abs(p["median"]) and not separated
         worse = -sign * (c["median"] - p["median"])
-        out["within_bound"] = worse <= bound * abs(p["median"])
+        out["within_bound"] = None if out["unresolved"] else worse <= bound * abs(p["median"])
     return out
 
 
@@ -121,12 +128,13 @@ def summarize(runs: list, spec: list) -> dict:
 
 
 def bench_pairs(parent: Path, change: Path, workloads: list, pairs: int, seed: int,
-                seconds: float, out_path: Path, log=print) -> dict:
+                out_path: Path, log=print) -> dict:
     """Run the pairs and write the summary to ``out_path`` after each
     workload, so a cut run keeps the workloads it finished."""
-    spec = json.loads((parent / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((parent / "BENCHMARK.json").read_text())
+    spec, seconds = bench["end_to_end"], bench["run_seconds"]
     trees = {"parent": parent, "change": change}
-    out = {"seconds": seconds, "pairs": pairs, "workloads": {}}
+    out = {"run_seconds": seconds, "pairs": pairs, "workloads": {}}
     for w_idx, workload in enumerate(workloads):
         runs = []
         for i in range(pairs):
@@ -152,13 +160,12 @@ def main(argv=None) -> int:
                     help="a run.py workload; repeat for several")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     bench_pairs(args.parent.resolve(), args.change.resolve(), args.workload, args.pairs,
-                args.seed, args.seconds, args.out,
+                args.seed, args.out,
                 log=lambda msg: print(msg, file=sys.stderr, flush=True))
     return 0
 

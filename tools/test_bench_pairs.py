@@ -28,7 +28,7 @@ STUB = textwrap.dedent('''
     side = Path(__file__).resolve().parent.parent.name
     seed = int(args["--seed"])
     with open(Path(__file__).resolve().parents[2] / "calls.txt", "a") as fp:
-        fp.write(f"{side} {seed}\\n")
+        fp.write(f"{side} {seed} {args['--seconds']}\\n")
     ops = (100 + seed) * (2 if side == "change" else 1)
     spec = json.loads((Path(__file__).parent.parent / "BENCHMARK.json").read_text())
     metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}
@@ -51,13 +51,17 @@ def make_tree(tmp_path: Path, side: str) -> Path:
 def test_pairs_alternate_and_summarise(tmp_path):
     parent, change = make_tree(tmp_path, "parent"), make_tree(tmp_path, "change")
     out = tmp_path / "BENCH.json"
-    bench_pairs.bench_pairs(parent, change, ["construct", "verify"], 3, 10, 0.1, out,
+    bench_pairs.bench_pairs(parent, change, ["construct", "verify"], 3, 10, out,
                             log=lambda msg: None)
-    calls = (tmp_path / "calls.txt").read_text().splitlines()
-    assert calls == ["parent 10", "change 10", "change 11", "parent 11", "parent 12",
-                     "change 12", "parent 110", "change 110", "change 111", "parent 111",
-                     "parent 112", "change 112"]
+    # every run lasts the benchmark's own run_seconds
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    calls = [c.rsplit(" ", 1) for c in (tmp_path / "calls.txt").read_text().splitlines()]
+    assert {float(c[1]) for c in calls} == {seconds}
+    assert [c[0] for c in calls] == [
+        "parent 10", "change 10", "change 11", "parent 11", "parent 12", "change 12",
+        "parent 110", "change 110", "change 111", "parent 111", "parent 112", "change 112"]
     result = json.loads(out.read_text())
+    assert result["run_seconds"] == seconds
     wl = result["workloads"]["construct"]
     assert wl["seeds"] == [10, 11, 12]
     assert [r["first"] for r in wl["runs"]] == ["parent", "change", "parent"]
@@ -85,7 +89,19 @@ def test_compare_follows_direction_and_counts_no_ties():
     wide = bench_pairs.compare([1, 100, 200, 300], [300, 201, 250, 400], "higher")
     assert wide["change_wins"] == 4 and not wide["gain"]
     worse = bench_pairs.compare([100] * 4, [74] * 4, "higher", 0.25)
-    assert not worse["within_bound"]
+    assert not worse["within_bound"] and not worse["unresolved"]
+    # the parent's spread (IQR 30 of median 100) is wider than a 0.2 bound:
+    # no verdict, whichever way the medians lie
+    noisy = [60, 85, 100, 115, 140]
+    for change in ([100] * 5, [60] * 5):
+        verdict = bench_pairs.compare(noisy, change, "higher", 0.2)
+        assert verdict["unresolved"] and verdict["within_bound"] is None
+    # a change run as noisy, but each of its runs beats every parent run
+    apart = bench_pairs.compare(noisy, [150, 170, 180, 195, 220], "higher", 0.2)
+    assert not apart["unresolved"] and apart["within_bound"]
+    # the change's own spread counts too (lower is better here)
+    spread_c = bench_pairs.compare([10] * 4, [7, 9, 11, 13], "lower", 0.1)
+    assert spread_c["unresolved"] and spread_c["within_bound"] is None
 
 
 def test_run_without_result_raises():
