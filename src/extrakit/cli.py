@@ -273,9 +273,7 @@ def _cmd_gen_design(args) -> int:
     try:
         _echo(sink, subcommand="gen-design", l=args.l, m=args.m, rho=args.rho,
               d=family.d)
-        buf = io.StringIO()
-        write_design(family, buf)
-        sink.write(buf.getvalue())
+        write_design(family, sink)
     finally:
         sink.close()
     return 0
@@ -316,9 +314,7 @@ def _cmd_sample_graph(args) -> int:
         if params is not None:
             echo.update(kind=args.kind, k=args.k, eps=args.eps)
         _echo(sink, **echo)
-        buf = io.StringIO()
-        write_graph(G, buf)
-        sink.write(buf.getvalue())
+        write_graph(G, sink)
     finally:
         sink.close()
     return 0

@@ -268,11 +268,6 @@ def recursive_merger(factory: Callable[[int], Merger], l: int, k: int) -> Merger
 # composition of an extractor pair through a merger
 
 
-def _padded(bs: BitString, length: int) -> BitString:
-    """Zero-pad on the low-index (most significant) side, per the fixed rule."""
-    return bs.pad_to(length)
-
-
 def merger_compose(
     E1: SeededFunction,
     E2: SeededFunction,
@@ -303,8 +298,8 @@ def merger_compose(
         )
     blocks = []
     for i in range(1, n + 1):
-        q_i = E1(_padded(a.slice(i - 1, n), n), r1)
-        z_i = E2(_padded(a.slice(0, i - 1), n), q_i)
+        q_i = E1(a.slice(i - 1, n).pad_to(n), r1)
+        z_i = E2(a.slice(0, i - 1).pad_to(n), q_i)
         blocks.append(z_i)
     return M(blocks, r2)
 
@@ -335,7 +330,7 @@ def iterated_compose_dp(
     E1 = extractors[0]
     if E1.n != n:
         raise DimensionError(f"first extractor takes {E1.n} bits, source has {n}")
-    row = [E1(_padded(x.slice(i - 1, n), n), y) for i in range(1, n + 1)]
+    row = [E1(x.slice(i - 1, n).pad_to(n), y) for i in range(1, n + 1)]
     for j in range(1, t):
         Ej, Mj, yj = extractors[j], mergers[j - 1], merger_seeds[j - 1]
         if Ej.n != n:
@@ -353,7 +348,7 @@ def iterated_compose_dp(
         new_row = []
         for i in range(1, n + 1):
             blocks = [
-                Ej(_padded(x.slice(i - 1, l - 1), n), row[l - 1])
+                Ej(x.slice(i - 1, l - 1).pad_to(n), row[l - 1])
                 for l in range(i, n + 1)
             ]
             blocks.extend([zero_block] * (i - 1))

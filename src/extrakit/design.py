@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import TextIO
 
-import numpy as np
-
 from .dist import as_fraction
 from .errors import DimensionError, FeasibilityError, FormatError, Verdict
 
@@ -73,45 +71,23 @@ class DesignFamily:
         return f"DesignFamily(d={self.d}, l={self.l}, m={self.m})"
 
 
-#: Cells per row block of the overlap matrix (1 MB of uint8 incidence and
-#: gathers; the block's powers are int64).
-_BLOCK_CELLS = 1 << 20
+def _overlap_counts(sets):
+    """For each set S_j in turn, the dict i -> |S_i n S_j| over the earlier
+    sets i that meet S_j; an earlier set missing from it misses S_j.
 
-
-def _sum_dtype(l: int, m: int):
-    """int64 while a sum of m terms 2^(<= l) always fits, else Python ints."""
-    return np.int64 if l + m.bit_length() < 63 else object
-
-
-def _overlap_powers(sets: np.ndarray):
-    """Row blocks of the matrix P[j, i] = 2^|S_i n S_j| of the rows of
-    ``sets`` (m, l), as pairs (lo, P[lo:hi, :hi]).
-
-    The incidence has one column per element in use (at most m*l),
-    whatever the universe.  A block's overlaps are the incidence product
-    inc @ inc.T, formed by gathering the block's incidence columns of
-    every earlier set and summing them; the incidence and the gather each
-    stay within _BLOCK_CELLS cells.
+    Built from each element's list of earlier holders, the index that
+    :func:`_build_block` keeps, so the work is the number of (i, j, e)
+    with e in S_i n S_j.  Elements are dict keys, so any universe works.
     """
-    m, l = sets.shape
-    elems, cols = np.unique(sets, return_inverse=True)
-    cols = cols.reshape(m, l)
-    step = max(1, _BLOCK_CELLS // max(1, m * l))
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        inc = np.zeros((hi - lo, len(elems)), dtype=np.uint8)
-        inc[np.arange(hi - lo)[:, np.newaxis], cols[lo:hi]] = 1
-        overlap = inc[:, cols[:hi]].sum(axis=2, dtype=_sum_dtype(l, m))
-        yield lo, np.left_shift(1, overlap, out=overlap)
-
-
-def _running_sums(sets: np.ndarray) -> np.ndarray:
-    """sums[j] = sum over i < j of 2^|S_i n S_j|."""
-    m, l = sets.shape
-    sums = np.zeros(m, dtype=_sum_dtype(l, m))
-    for lo, powers in _overlap_powers(sets):
-        sums[lo : lo + len(powers)] = np.tril(powers, lo - 1).sum(axis=1)
-    return sums
+    holders: dict[int, list[int]] = {}
+    for j, s in enumerate(sets):
+        counts: dict[int, int] = {}
+        for e in s:
+            held = holders.setdefault(e, [])
+            for i in held:
+                counts[i] = counts.get(i, 0) + 1
+            held.append(j)
+        yield counts
 
 
 def verify_design(family: DesignFamily, kind: str, rho) -> Verdict:
@@ -122,33 +98,29 @@ def verify_design(family: DesignFamily, kind: str, rho) -> Verdict:
     uniform-weak:  every j has sum_{i<j} 2^|S_i n S_j| <= rho*(j-1)  (witness j)
 
     Indices in witnesses are 1-based to match the S_1..S_m naming.  All
-    three kinds read the matrix of overlap powers, one row block at a
-    time; an integer exceeds a rational bound exactly when it exceeds the
-    bound's floor.
+    three kinds read one pass of :func:`_overlap_counts`, in Python ints;
+    an earlier set that misses S_j contributes 2^0 = 1, and an integer
+    exceeds a rational bound exactly when it exceeds the bound's floor.
     """
     if kind not in KINDS:
         raise DimensionError(f"kind {kind!r} not one of {KINDS}")
     rho = as_fraction(rho)
     m = family.m
-    dtype = np.intp if family.d <= 1 << 62 else object
-    sets = np.array(family.sets, dtype=dtype).reshape(m, family.l)
     if kind == "design":
-        for lo, powers in _overlap_powers(sets):
-            bad = np.argwhere(np.tril(powers > math.floor(rho), lo - 1))
-            if bad.size:
-                j, i = bad[0]
-                return Verdict(False, witness=(int(i) + 1, lo + int(j) + 1))
+        cap = math.floor(rho)
+        if cap < 1 and m > 1:  # even a disjoint pair has 2^0 > rho
+            return Verdict(False, witness=(1, 2))
+        for j, counts in enumerate(_overlap_counts(family.sets)):
+            bad = [i for i, c in counts.items() if 1 << c > cap]
+            if bad:
+                return Verdict(False, witness=(min(bad) + 1, j + 1))
         return Verdict(True, note=f"all {m * (m - 1) // 2} pairs within 2^|overlap| <= {rho}")
-    sums = _running_sums(sets)
-    # 0-based j: the uniform-weak budget rho * (j_1based - 1) is rho * j
-    if kind == "uniform-weak":
-        steps = np.arange(m, dtype=object)
-    else:
-        steps = np.full(m, m - 1, dtype=object)
-    bad = np.flatnonzero(sums[1:] > rho.numerator * steps[1:] // rho.denominator)
-    if bad.size:
-        j = int(bad[0]) + 1
-        return Verdict(False, witness=j + 1, note=f"sum {sums[j]} > {rho * steps[j]}")
+    for j, counts in enumerate(_overlap_counts(family.sets)):
+        # 0-based j: the uniform-weak budget rho * (j_1based - 1) is rho * j
+        step = j if kind == "uniform-weak" else m - 1
+        total = j - len(counts) + sum(1 << c for c in counts.values())
+        if j and total > rho.numerator * step // rho.denominator:
+            return Verdict(False, witness=j + 1, note=f"sum {total} > {rho * step}")
     return Verdict(True, note=f"all {m} running sums within budget")
 
 

@@ -111,19 +111,24 @@ def hash_eval(family: ToeplitzFamily, h: BitString, x: BitString) -> BitString:
     return BitString(l, out)
 
 
-def hash_table(family: ToeplitzFamily, max_bits: int = MAX_FAMILY_BITS) -> np.ndarray:
+def _check_member_budget(family: ToeplitzFamily) -> None:
+    if family.d > MAX_FAMILY_BITS:
+        raise BudgetExceededError(
+            f"family has 2^{family.d} members, budget is 2^{MAX_FAMILY_BITS}",
+            requested=family.size,
+            budget=1 << MAX_FAMILY_BITS,
+        )
+
+
+def hash_table(family: ToeplitzFamily) -> np.ndarray:
     """Dense table V[h, x] = value of member h on input x, whole family.
 
     Shape (2^d, 2^n), dtype uint16.  Used by exhaustive collision and
-    linearity sweeps; refuses families beyond ``max_bits`` description
-    bits, and tables beyond :data:`~extrakit.graph.MAX_HIST_CELLS` cells.
+    linearity sweeps; refuses families beyond :data:`MAX_FAMILY_BITS`
+    description bits, and tables beyond
+    :data:`~extrakit.graph.MAX_HIST_CELLS` cells.
     """
-    if family.d > max_bits:
-        raise BudgetExceededError(
-            f"family has 2^{family.d} members, budget is 2^{max_bits}",
-            requested=family.size,
-            budget=1 << max_bits,
-        )
+    _check_member_budget(family)
     return _values(family, np.arange(1 << family.n))
 
 
@@ -161,12 +166,7 @@ def _values(family: ToeplitzFamily, xs) -> np.ndarray:
     return V
 
 
-def collision_prob(
-    family: ToeplitzFamily,
-    x1: BitString,
-    x2: BitString,
-    max_bits: int = MAX_FAMILY_BITS,
-) -> Fraction:
+def collision_prob(family: ToeplitzFamily, x1: BitString, x2: BitString) -> Fraction:
     """Exact fraction of family members mapping x1 and x2 to the same value.
 
     Counts by enumerating the entire family (no algebraic shortcut), so
@@ -178,12 +178,7 @@ def collision_prob(
         )
     if x1 == x2:
         raise InvalidPairError("collision probability needs two distinct inputs")
-    if family.d > max_bits:
-        raise BudgetExceededError(
-            f"family has 2^{family.d} members, budget is 2^{max_bits}",
-            requested=family.size,
-            budget=1 << max_bits,
-        )
+    _check_member_budget(family)
     V = _values(family, (x1.value, x2.value))
     hits = int((V[:, 0] == V[:, 1]).sum())
     return Fraction(hits, family.size)

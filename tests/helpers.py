@@ -410,6 +410,12 @@ def _overlap_oracle(a, b) -> int:
     return len(set(a) & set(b))
 
 
+def running_sums_oracle(sets) -> list:
+    """sums[k] = sum over i < k of 2^|S_i n S_k|, pair by pair."""
+    return [sum(1 << _overlap_oracle(sets[i], s) for i in range(k))
+            for k, s in enumerate(sets)]
+
+
 def verify_design_oracle(family, kind: str, rho) -> tuple:
     """``(ok, witness, note)`` of the overlap check, pair by pair."""
     rho = Fraction(rho)
@@ -471,8 +477,7 @@ def greedy_weak_design_oracle(l: int, m: int, rho=1):
         u = max(l, min(l * bsize, (3 * l * l + 1) // 2))
         while True:
             block = build_block_oracle(bsize, l, list(range(next_elem, next_elem + u)))
-            if all(placed + sum(1 << _overlap_oracle(block[i], s) for i in range(t)) <= budget
-                   for t, s in enumerate(block)):
+            if all(placed + total <= budget for total in running_sums_oracle(block)):
                 break
             assert u < l * bsize, "greedy block failed on a disjoint universe"
             u = min(2 * u, l * bsize)

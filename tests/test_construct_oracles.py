@@ -8,10 +8,9 @@ failing families included) and their Trevisan graph adjacency in plain
 and strong mode.  The Trevisan map's ``table`` must give the oracle's
 rows for any list of source values, and its push-forward the per-pair
 oracle's weights; the feasibility gate's log2(m/eps) term must equal the
-Fraction loop's.  The decoder's batches and the overlap check's row
-blocks are also shrunk to a few cells, so that every batch and block
-boundary is crossed.  The oracles are the loop bodies in ``helpers.py``;
-nothing here reads the library's tables.
+Fraction loop's.  The decoder's batches are also shrunk to a few cells,
+so that every batch boundary is crossed.  The oracles are the loop bodies
+in ``helpers.py``; nothing here reads the library's tables.
 """
 
 import functools
@@ -50,6 +49,7 @@ from helpers import (
     greedy_weak_design_oracle,
     hadamard_rows_oracle,
     push_forward_oracle,
+    running_sums_oracle,
     source_dist,
     trevisan_graph_oracle,
     verify_design_oracle,
@@ -132,8 +132,11 @@ def test_greedy_design_matches_oracle_on_grid():
 def test_greedy_design_matches_oracle_large(l, m):
     # (3, 100) and (4, 128) force a set to share two elements with an
     # earlier one, so the weight 2^inter must double, not just grow;
-    # (62, 2) and up have l + m.bit_length() >= 63: Python-int sums
-    _same_design(l, m)
+    # (62, 2) and up have l + m.bit_length() >= 63: sums past int64
+    fam = greedy_weak_design(l, m)
+    assert (fam.d, fam.sets) == greedy_weak_design_oracle(l, m), (l, m)
+    v = verify_design(fam, "weak", 1)
+    assert (v.ok, v.witness, v.note) == verify_design_oracle(fam, "weak", 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,7 +155,7 @@ def test_build_block_matches_oracle(data, count, l):
                   label="u")
     block, sums = design_module._build_block(count, l, u)
     assert block == build_block_oracle(count, l, list(range(u)))
-    assert sums == design_module._running_sums(np.array(block)).tolist()
+    assert sums == running_sums_oracle(block)
 
 
 @st.composite
@@ -168,23 +171,10 @@ def families(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(fam=families(), kind=st.sampled_from(["design", "weak", "uniform-weak"]),
-       rho=st.sampled_from(RHOS),
-       cells=st.one_of(st.just(design_module._BLOCK_CELLS), st.integers(1, 200)))
-def test_verify_design_matches_oracle(fam, kind, rho, cells):
-    # a few cells per block split the overlap matrix into many row blocks
-    with patch.object(design_module, "_BLOCK_CELLS", cells):
-        v = verify_design(fam, kind, rho)
+       rho=st.sampled_from(RHOS))
+def test_verify_design_matches_oracle(fam, kind, rho):
+    v = verify_design(fam, kind, rho)
     assert (v.ok, v.witness, v.note) == verify_design_oracle(fam, kind, rho)
-
-
-@pytest.mark.parametrize("l, m", [(3, 100), (4, 128), (62, 2), (64, 5)])
-def test_greedy_design_matches_oracle_in_row_blocks(l, m):
-    # the builder reads no row blocks; the weak check of its design does
-    with patch.object(design_module, "_BLOCK_CELLS", 64):
-        fam = greedy_weak_design(l, m)
-        v = verify_design(fam, "weak", 1)
-    assert (fam.d, fam.sets) == greedy_weak_design_oracle(l, m), (l, m)
-    assert (v.ok, v.witness, v.note) == verify_design_oracle(fam, "weak", 1)
 
 
 def test_verify_design_beyond_machine_integers():

@@ -65,6 +65,12 @@ class TestVerifyDesign:
         assert not verify_design(fam, "uniform-weak", 1)
         assert verify_design(fam, "uniform-weak", 2)
 
+    def test_design_witness_is_least_earlier_set(self):
+        # S3 meets S2 by its first element and S1 by its second; S1 and
+        # S2 are disjoint, so both pairs (1, 3) and (2, 3) fail first
+        fam = DesignFamily(4, 2, ((2, 3), (0, 1), (1, 2)))
+        assert verify_design(fam, "design", 1).witness == (1, 3)
+
     def test_fractional_rho(self):
         fam = disjoint_family(2, 3)
         # disjoint pairs cost 2^0 = 1 each; j=3 sum = 2 > (1/2)*(m-1) = 1
@@ -96,8 +102,8 @@ class TestVerifyDesign:
 
     def test_large_family_checked_in_row_blocks(self):
         # 2048 disjoint 16-sets far apart in [10^9], except that the last
-        # shares two elements with the first: one whole (m, m, l) gather
-        # would be 64 MB
+        # shares two elements with the first: an (m, m, l) array of the
+        # pairs' elements would be 64 MB, the holder lists are m * l entries
         l, m = 16, 2048
         sets = [tuple(j * 400_000 + k for k in range(l)) for j in range(m)]
         sets[-1] = sets[0][:2] + sets[-1][2:]
@@ -115,8 +121,8 @@ class TestVerifyDesign:
         assert peak < 12 << 20
 
     def test_repeated_elements_checked_in_row_blocks(self):
-        # 2048 copies of one 16-set: only 16 elements are in use, but the
-        # overlap gather still grows with m * l, so the blocks must too
+        # 2048 copies of one 16-set: only 16 elements are in use, but
+        # their holder lists grow with m * l
         l, m = 16, 2048
         fam = DesignFamily(l, l, (tuple(range(l)),) * m)
         tracemalloc.start()

@@ -96,14 +96,13 @@ class TestHashTable:
     def test_budget(self):
         from extrakit.errors import BudgetExceededError
         with pytest.raises(BudgetExceededError) as exc:
-            hash_table(ToeplitzFamily(16, 14), max_bits=24)
+            hash_table(ToeplitzFamily(16, 14))
         assert (exc.value.requested, exc.value.budget) == (1 << 29, 1 << 24)
         with pytest.raises(BudgetExceededError, match="overflows the uint16 table") as exc:
             hash_table(ToeplitzFamily(1, 17))
         assert (exc.value.requested, exc.value.budget) == (17, 16)
         with pytest.raises(BudgetExceededError) as exc:
-            collision_prob(ToeplitzFamily(16, 14), BitString(16, 0), BitString(16, 1),
-                           max_bits=24)
+            collision_prob(ToeplitzFamily(16, 14), BitString(16, 0), BitString(16, 1))
         assert (exc.value.requested, exc.value.budget) == (1 << 29, 1 << 24)
 
     def test_cell_budget_refuses_before_allocating(self, monkeypatch):

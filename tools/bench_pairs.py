@@ -17,9 +17,10 @@ records the median and quartiles, and how many pairs the change won
 same summary is given for the raw ``ops_per_s`` and the calibration
 ``slowness`` of the ``# env`` line.  ``gain`` holds when the change won
 at least nine tenths of the pairs and its median beats the parent's by
-more than the parent's interquartile range; ``within_bound`` holds when
-the change's median is not worse than the parent's by more than the
-metric's bound.  A metric is ``unresolved`` (and ``within_bound`` is
+more than the parent's interquartile range, and never on a workload
+where the change's runs failed more ops in all than the parent's;
+``within_bound`` holds when the change's median is not worse than the
+parent's by more than the metric's bound.  A metric is ``unresolved`` (and ``within_bound`` is
 null) when either side's interquartile range, relative to the parent's
 median, is wider than the bound, unless every change run beats every
 parent run.  Every run is kept with its seed, order, ``correct`` flag
@@ -115,12 +116,18 @@ def summarize(runs: list, spec: list) -> dict:
         name = m["name"]
         metrics[name] = compare(*paired(lambda x: x["metrics"][name]), m["better"], m["bound"])
         metrics[name].update(unit=m["unit"], better=m["better"], bound=m["bound"])
+    raw = compare(*paired(lambda x: x["raw_ops_per_s"]), "higher")
+    failed = {s: sum(x["failed"] for x in side[s]) for s in SIDES}
+    if failed["change"] > failed["parent"]:
+        # a gain does not count when more ops fail than at the parent
+        for verdict in (*metrics.values(), raw):
+            verdict["gain"] = False
     return {
         "seeds": [r["seed"] for r in runs],
         "correct": {s: all(x["correct"] for x in side[s]) for s in SIDES},
-        "failed_ops": {s: sum(x["failed"] for x in side[s]) for s in SIDES},
+        "failed_ops": failed,
         "metrics": metrics,
-        "raw_ops_per_s": compare(*paired(lambda x: x["raw_ops_per_s"]), "higher"),
+        "raw_ops_per_s": raw,
         "slowness": {s: spread([x["slowness"] for x in side[s]]) for s in SIDES},
         "commits": {s: sorted({x["git_commit"] for x in side[s]}, key=str) for s in SIDES},
         "runs": runs,

@@ -104,6 +104,29 @@ def test_compare_follows_direction_and_counts_no_ties():
     assert spread_c["unresolved"] and spread_c["within_bound"] is None
 
 
+def test_no_gain_when_change_fails_more_ops():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def run(ops):
+        return {"correct": True, "attempted": 100, "failed": 0,
+                "metrics": {m["name"]: 1.0 for m in spec} | {"ops_per_s": ops},
+                "raw_ops_per_s": ops, "slowness": 1.0, "git_commit": None}
+
+    # the change doubles ops_per_s in every pair, but one of its runs
+    # fails an op
+    runs = [{"seed": i, "first": "parent", "parent": run(100 + i), "change": run(200 + i)}
+            for i in range(10)]
+    runs[-1]["change"].update(correct=False, failed=1)
+    wl = bench_pairs.summarize(runs, spec)
+    assert wl["failed_ops"] == {"parent": 0, "change": 1}
+    assert wl["metrics"]["ops_per_s"]["change_wins"] == 10
+    assert not wl["metrics"]["ops_per_s"]["gain"] and not wl["raw_ops_per_s"]["gain"]
+    # as many failed ops on each side: the gain stands
+    runs[0]["parent"].update(correct=False, failed=1)
+    wl = bench_pairs.summarize(runs, spec)
+    assert wl["metrics"]["ops_per_s"]["gain"] and wl["raw_ops_per_s"]["gain"]
+
+
 def test_run_without_result_raises():
     with pytest.raises(RuntimeError, match="code 2"):
         bench_pairs.parse_output("", 2, "error: no extrakit sources")
