@@ -178,7 +178,7 @@ def test_verify_design_matches_oracle(fam, kind, rho):
 
 
 def test_verify_design_beyond_machine_integers():
-    # elements past 2^63 are renumbered, not cast
+    # elements past 2^63 are Python ints throughout, never cast
     top = 2**70 - 1
     fam = DesignFamily(2**70, 2, ((top, 0), (top, 1), (5, 2**64)))
     for kind in ("design", "weak", "uniform-weak"):

@@ -20,10 +20,10 @@ at least nine tenths of the pairs and its median beats the parent's by
 more than the parent's interquartile range, and never on a workload
 where the change's runs failed more ops in all than the parent's;
 ``within_bound`` holds when the change's median is not worse than the
-parent's by more than the metric's bound.  A metric is ``unresolved`` (and ``within_bound`` is
-null) when either side's interquartile range, relative to the parent's
-median, is wider than the bound, unless every change run beats every
-parent run.  Every run is kept with its seed, order, ``correct`` flag
+parent's by more than the metric's bound.  A metric is ``unresolved``
+(and ``within_bound`` is null) when either side's interquartile range,
+relative to the parent's median, is wider than the bound, unless every
+change run beats every parent run.  Every run is kept with its seed, order, ``correct`` flag
 and failed-op count.
 """
 
