@@ -133,10 +133,7 @@ def test_greedy_design_matches_oracle_large(l, m):
     # (3, 100) and (4, 128) force a set to share two elements with an
     # earlier one, so the weight 2^inter must double, not just grow;
     # (62, 2) and up have l + m.bit_length() >= 63: sums past int64
-    fam = greedy_weak_design(l, m)
-    assert (fam.d, fam.sets) == greedy_weak_design_oracle(l, m), (l, m)
-    v = verify_design(fam, "weak", 1)
-    assert (v.ok, v.witness, v.note) == verify_design_oracle(fam, "weak", 1)
+    _same_design(l, m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -175,6 +172,17 @@ def families(draw):
 def test_verify_design_matches_oracle(fam, kind, rho):
     v = verify_design(fam, kind, rho)
     assert (v.ok, v.witness, v.note) == verify_design_oracle(fam, kind, rho)
+
+
+@pytest.mark.parametrize("l, m", [(3, 100), (4, 128), (62, 2), (64, 5)])
+def test_greedy_design_matches_oracle_in_row_blocks(l, m):
+    # the weak check of the builder's design: doubled weights and sums
+    # past int64 must give the oracle's verdict, now in one pass over the
+    # per-element holder lists rather than in row blocks
+    fam = greedy_weak_design(l, m)
+    v = verify_design(fam, "weak", 1)
+    assert (fam.d, fam.sets) == greedy_weak_design_oracle(l, m), (l, m)
+    assert (v.ok, v.witness, v.note) == verify_design_oracle(fam, "weak", 1)
 
 
 def test_verify_design_beyond_machine_integers():
