@@ -523,6 +523,20 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2 and "missing.txt" in err
 
 
+def test_repeated_calls_in_one_process_print_the_same_bytes(capsys, tmp_path):
+    path = graph_file(tmp_path, zero_graph(4, 4, 2))
+    first = ("verify-graph", "--kind", "extractor", "--graph", path,
+             "--k", "2", "--eps", "1/4")
+    want = run(capsys, *first)
+    assert want[0] == 1 and "witness B={0} A={0,1}" in want[1]
+    run(capsys, "sample-graph", "--N", "8", "--M", "4", "--D", "6", "--seed", "9")
+    run(capsys, "existence-trial", "--kind", "prefix", *EXISTENCE_TRANSCRIPTS["prefix"][0])
+    run(capsys, "gen-design", "--l", "4", "--m", "8")
+    code, out, err = run(capsys, "verify-graph", "--kind", "extractor", "--graph", path)
+    assert code == 2 and out == "" and "required" in err
+    assert run(capsys, *first) == want
+
+
 def test_python_m_extrakit_runs_the_cli(tmp_path):
     path = graph_file(tmp_path, pass_through_graph(4, 4))
     src = Path(__file__).resolve().parents[1] / "src"

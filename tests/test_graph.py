@@ -9,7 +9,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from extrakit import (
     BipartiteGraph,
@@ -214,19 +214,55 @@ class TestVerifyExtractor:
         assert scan_range_oracle(G, 1, eps, 1, 256)[0] == 128
         assert verify_extractor(G, 1, eps).witness == ((7,), (0,))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scan_matches_oracle_at_the_worst_eps(self, data):
+        # D up to 2M, so the regime D < M, where w = M*hist - D is positive
+        # on every edge, is drawn as often as D >= M.  eps is drawn at the
+        # graph's own worst distance (the event on the boundary fails, since
+        # the test is strict) and 1/1000 either side of it.
+        M = data.draw(st.integers(8, 12))
+        N = data.draw(st.integers(1, 8))
+        D = data.draw(st.integers(1, 2 * M))
+        top = data.draw(st.integers(M // 2, M - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        G = BipartiteGraph(N, M, D, rng.integers(0, top + 1, size=(N, D)))
+        K = data.draw(source_sizes(N))
+        worst = worst_flat_distance(G, K)[1]
+        eps = data.draw(st.sampled_from(
+            [worst, worst - Fraction(1, 1000), worst + Fraction(1, 1000), Fraction(1, 4)]))
+        assume(0 < eps < 1)
+        hit = scan_range_oracle(G, K, eps, 1, 1 << M)
+        verdict = verify_extractor(G, K, eps)
+        assert verdict.ok == (hit is None) == (worst < eps)
+        assert verdict.witness == (hit[1:] if hit else None)
+
+    def test_late_failure_above_bit_eleven(self):
+        # Left 0 sends all 12 edges to z = 11; lefts 1-3 send one edge to
+        # each z.  At eps = 5/6 an event fails iff it holds 11 and at most
+        # one other z, so the least failing bitmask is 2^11: no event in
+        # the 0-branch of bit 11 fails.
+        G = BipartiteGraph(4, 12, 12, [[11] * 12] + [list(range(12))] * 3)
+        eps = Fraction(5, 6)
+        assert scan_range_oracle(G, 1, eps, 1, 1 << 12)[0] == 1 << 11
+        assert verify_extractor(G, 1, eps).witness == ((11,), (0,))
+        # without left 0 nothing fails
+        assert verify_extractor(BipartiteGraph(3, 12, 12, [list(range(12))] * 3), 1, eps)
+
     @pytest.mark.parametrize("eps", [Fraction(1, 2**61), Fraction(2**61 - 1, 2**61)])
     def test_huge_denominator_compares_without_wraparound(self, eps):
         # K*D*M*(p+q) >= 2^63 here, past what int64 products can hold.
         rng = np.random.default_rng(23)
-        for _ in range(5):
-            G = random_graph(rng, 6, 4, 3)
-            for K in (1, 3, 6):
-                verdict = verify_extractor(G, K, eps)
-                hit = scan_range_oracle(G, K, eps, 1, 1 << G.M)
-                assert verdict.ok == (hit is None) == naive_extractor_ok(G, K, eps)
-                assert verdict.witness == (hit[1:] if hit else None)
-                if eps > Fraction(1, 2):
-                    assert verdict.ok
+        for M in (4, 10):
+            for _ in range(5):
+                G = random_graph(rng, 6, M, 3)
+                for K in (1, 3, 6):
+                    verdict = verify_extractor(G, K, eps)
+                    hit = scan_range_oracle(G, K, eps, 1, 1 << G.M)
+                    assert verdict.ok == (hit is None) == naive_extractor_ok(G, K, eps)
+                    assert verdict.witness == (hit[1:] if hit else None)
+                    if eps > Fraction(1, 2):
+                        assert verdict.ok
 
 
 class TestVerifyDisperser:
