@@ -49,9 +49,11 @@ DEFAULT_SUBSET_BUDGET = 1 << 20
 #: incidence; a larger graph raises BudgetExceededError before allocating.
 MAX_HIST_CELLS = 1 << 26
 
-#: Right events in the first block of :func:`_least_failing_event`.  Blocks
-#: double up to 2^_LOW_BITS rows, so a failure among the first events stays
-#: cheap while a full scan pays numpy's per-call cost once per block.
+#: The leaves of :func:`_least_failing_event` are windows of 2^_LOW_BITS
+#: consecutive right events, scanned by :class:`_EventWindow` in blocks of
+#: _FIRST_BLOCK rows at first, doubling up to a whole window, so a failure
+#: among the first events stays cheap while a long scan pays numpy's
+#: per-call cost once per window.
 _FIRST_BLOCK = 32
 _LOW_BITS = 7
 #: Cells (rows times width) of each suffix table and each block of the
@@ -453,64 +455,133 @@ def verify_disperser(
     return Verdict(True, note=f"checked all C({G.M},{L}) right sets")
 
 
+class _EventWindow:
+    """The exact test of :func:`verify_extractor` on windows of 2^low
+    consecutive right-event bitmasks, low = min(M, 7): the leaves of
+    :func:`_least_failing_event`.
+
+    A window's bitmasks share every bit above the low ``low``, and it is
+    tested in blocks of consecutive bitmasks, 32 rows at first and
+    doubling to a whole window; the size carries over from window to
+    window, so only the first window scanned is split.  The
+    block's int64 counts ``C[r, x] = E(x, B_r)``, i.e. ``bits @ hist.T`` for
+    its 0/1 event matrix ``bits``, are a slice of a table of ``hist`` column
+    sums over all 2^low low-bit patterns plus the column sum over the
+    shared high bits: integer adds only.  The exact test runs on every row
+    at once, first with K times the row's largest count, an upper bound on
+    its top-K sum; the rows that bound does not clear get their top-K sum
+    from ``np.partition`` and the exact test itself.  When
+    ``K*D*M*(|p|+q)`` reaches 2^63 the sides of that test could overflow
+    int64, so the scan compares Python ints instead.  The top-K lefts of a
+    failing event are ordered by ``(-count, index)``.
+    """
+
+    __slots__ = ("H", "K", "D", "p", "q", "low", "table", "sizes", "exact", "size")
+
+    def __init__(self, G: BipartiteGraph, K: int, p: int, q: int):
+        H = G.hist
+        low = min(G.M, _LOW_BITS)
+        # row r of the tables: counts and size of the event with low bits r
+        table = np.zeros((1 << low, G.N), dtype=np.int64)
+        sizes = np.zeros(1 << low, dtype=np.int64)
+        for z in range(low):
+            table[1 << z : 2 << z] = table[: 1 << z] + H[:, z]
+            sizes[1 << z : 2 << z] = sizes[: 1 << z] + 1
+        self.H, self.K, self.D, self.p, self.q, self.low = H, K, G.D, p, q, low
+        self.table, self.sizes = table, sizes
+        self.exact = K * G.D * G.M * (abs(p) + q) >= 1 << 63
+        self.size = _FIRST_BLOCK
+
+    def scan(self, base: int):
+        """Witness ``(B, A)`` of the least failing bitmask in the window
+        of ``base`` (a multiple of 2^low), or None; the empty event is
+        never tested."""
+        H, K, D, p, q, low = self.H, self.K, self.D, self.p, self.q, self.low
+        N, M = H.shape
+        start, hi = max(base, 1), base + (1 << low)
+        high = [z for z in range(low, M) if base >> z & 1]
+        counts = H[:, high].sum(axis=1)
+        while start < hi:
+            stop = min(start + self.size, hi)
+            C = self.table[start - base : stop - base] + counts
+            sB = self.sizes[start - base : stop - base] + len(high)
+            peak = C.max(axis=1, initial=0)
+            if self.exact:
+                sB, peak = sB.astype(object), peak.astype(object)
+            rhs = K * D * (sB * q + p * M)
+            # K*peak bounds the top-K sum: only rows it lets reach rhs can fail
+            rows = np.flatnonzero(np.asarray(K * peak * (M * q) >= rhs, dtype=bool))
+            if rows.size:
+                Cr = C[rows]
+                if K < N:
+                    top = np.partition(Cr, N - K, axis=1)[:, N - K :].sum(axis=1)
+                else:
+                    top = Cr.sum(axis=1)
+                if self.exact:
+                    top = top.astype(object)
+                fail = np.asarray(top * (M * q) >= rhs[rows], dtype=bool)
+                if fail.any():
+                    r = int(rows[fail.argmax()])
+                    bmask = start + r
+                    order = np.argsort(-C[r], kind="stable")[:K]
+                    return tuple(z for z in range(M) if bmask >> z & 1), tuple(order.tolist())
+            start, self.size = stop, min(2 * self.size, 1 << low)
+        return None
+
+
 def _least_failing_event(G: BipartiteGraph, K: int, eps):
     """Witness ``(B, A)`` of the least failing right-event bitmask in
     [1, 2^M), or None if all pass: the scan behind :func:`verify_extractor`.
 
-    Events are tested in blocks of consecutive bitmasks, 32 rows at first
-    and doubling to 128; a block never crosses a multiple of 128, so its
-    bitmasks share every bit above the low seven.  The block's int64 counts
-    ``C[r, x] = E(x, B_r)``, i.e. ``bits @ hist.T`` for its 0/1 event matrix
-    ``bits``, are a slice of a table of ``hist`` column sums over all 128
-    low-bit patterns plus the column sum over the shared high bits: integer
-    adds only.  The exact test of :func:`verify_extractor` runs on every
-    row at once, first with K times the row's largest count, an upper bound
-    on its top-K sum; the rows that bound does not clear get their top-K
-    sum from ``np.partition`` and the exact test itself.  When
-    ``K*D*M*(|p|+q)`` reaches 2^63 the sides of that test could overflow
-    int64, so the call compares Python ints instead.  The top-K lefts of a
-    failing event are ordered by ``(-count, index)``.
+    With ``w[x, z] = M*hist[x, z] - D`` and ``f_x(B)`` the sum of
+    ``w[x, z]`` over z in B, the top-K sum of ``f(B)`` is
+    ``M*E(A, B) - K*D*|B|`` for the top-K set A, so with eps = p/q an event
+    fails iff ``q*topK(f(B)) >= K*D*p*M``.  The events form a binary tree
+    over the bits above the low ``low = min(M, 7)``, decided from the top
+    down, 0-branch first, on an explicit stack; its leaves are the windows
+    of 2^low bitmasks that :class:`_EventWindow` scans, and they come in
+    increasing bitmask order, so the first failure found is the least.  At
+    a node whose decided bits make the set Bh, every event below has
+    ``f_x(B) <= ub_x = f_x(Bh) + sum of max(0, w[x, z]) over the undecided
+    z``, read from one (M+1)-row prefix table; top-K is monotone, so when
+    ``q*topK(ub) < K*D*p*M`` (in Python ints) no event below fails and the
+    subtree is skipped (branch and bound: Land and Doig 1960).
     """
     eps = as_fraction(eps)
     p, q = eps.numerator, eps.denominator
     N, M, D = G.N, G.M, G.D
-    H = G.hist
-    low = min(M, _LOW_BITS)
-    # row r of the tables: counts and size of the event with low bits r
-    table = np.zeros((1 << low, N), dtype=np.int64)
-    sizes = np.zeros(1 << low, dtype=np.int64)
-    for z in range(low):
-        table[1 << z : 2 << z] = table[: 1 << z] + H[:, z]
-        sizes[1 << z : 2 << z] = sizes[: 1 << z] + 1
-    exact = K * D * M * (abs(p) + q) >= 1 << 63
-    start, size, hi = 1, _FIRST_BLOCK, 1 << M  # the empty event never fails
-    while start < hi:
-        base = start >> low << low
-        stop = min(start + size, base + (1 << low), hi)
-        high = [z for z in range(low, M) if base >> z & 1]
-        C = table[start - base : stop - base] + H[:, high].sum(axis=1)
-        sB = sizes[start - base : stop - base] + len(high)
-        peak = C.max(axis=1, initial=0)
-        if exact:
-            sB, peak = sB.astype(object), peak.astype(object)
-        rhs = K * D * (sB * q + p * M)
-        # K*peak bounds the top-K sum: only rows it lets reach rhs can fail
-        rows = np.flatnonzero(np.asarray(K * peak * (M * q) >= rhs, dtype=bool))
-        if rows.size:
-            Cr = C[rows]
-            if K < N:
-                top = np.partition(Cr, N - K, axis=1)[:, N - K :].sum(axis=1)
-            else:
-                top = Cr.sum(axis=1)
-            if exact:
-                top = top.astype(object)
-            fail = np.asarray(top * (M * q) >= rhs[rows], dtype=bool)
-            if fail.any():
-                r = int(rows[fail.argmax()])
-                bmask = start + r
-                order = np.argsort(-C[r], kind="stable")[:K]
-                return tuple(z for z in range(M) if bmask >> z & 1), tuple(order.tolist())
-        start, size = stop, min(2 * size, 1 << low)
+    w = np.array(G.hist.T, order="C")  # w[z, x] = M*hist[x, z] - D
+    w *= M
+    w -= D
+    # bound[j] = sum of max(0, w[z]) over z < j
+    bound = np.zeros((M + 1, N), dtype=np.int64)
+    np.cumsum(np.maximum(w, 0), axis=0, out=bound[1:])
+    need, low, window = K * D * p * M, min(M, _LOW_BITS), None
+    # nodes (level, base, f(base)): bits level..M-1 of base are decided
+    stack = [(M, 0, np.zeros(N, dtype=np.int64))]
+    while stack:
+        level, base, f = stack.pop()
+        # row j - low: ub at the node's descendant at level j by 0-branches
+        ub = f + bound[low : level + 1]
+        if K < N:
+            top = np.partition(ub, N - K, axis=1)[:, N - K :].sum(axis=1)
+        else:
+            top = ub.sum(axis=1)
+        # ub grows with j, so the pruned rows are the first d
+        d = sum(q * t < need for t in top.tolist())
+        if d > level - low:
+            continue
+        # the live descendants at levels low + d..level push their 1-branches,
+        # least bit last, so the least bitmasks come off the stack first
+        lo = max(low + d - 1, low)
+        ones = f + w[lo:level]
+        stack.extend((z, base | 1 << z, ones[z - lo]) for z in range(level - 1, lo - 1, -1))
+        if d == 0:
+            if window is None:  # built at the first leaf only
+                window = _EventWindow(G, K, p, q)
+            witness = window.scan(base)
+            if witness is not None:
+                return witness
     return None
 
 
@@ -532,9 +603,13 @@ def verify_extractor(
     On failure the witness is ``(B, A)``: B the least failing subset in
     indicator-bitmask order, A the top-K lefts for that B (ties by index).
 
-    The events are scanned by :func:`_least_failing_event` in blocks of at
-    most 128 consecutive bitmasks, so a block's counts take 128*N int64s;
-    the first failing row of the first failing block is the witness.
+    The events are searched by :func:`_least_failing_event`, a branch and
+    bound over the event bits above the low 7, 0-branch first: a subtree
+    is skipped when the top-K argument above, applied to an upper bound
+    on every left's count over its events, shows none of them fails.  The
+    leaves are windows of at most 128 consecutive bitmasks, scanned in
+    blocks whose counts take at most 128*N int64s, in increasing bitmask
+    order; the first failing row of the first failing block is the witness.
     """
     _check_flat_size(G, K)
     if 1 << G.M > max_subsets:

@@ -19,6 +19,7 @@ from extrakit import (
     function_of_graph,
     graph_of_function,
     prefix_graph,
+    sample_graph,
     verify_disperser,
     verify_extractor,
     verify_prefix_extractor,
@@ -248,6 +249,31 @@ class TestVerifyExtractor:
         assert verify_extractor(G, 1, eps).witness == ((11,), (0,))
         # without left 0 nothing fails
         assert verify_extractor(BipartiteGraph(3, 12, 12, [list(range(12))] * 3), 1, eps)
+
+    def test_bound_passes_degree_bound_graphs_without_a_window(self):
+        # At the degree bound with eps = 1/4 the bound at the root, or at a
+        # few nodes below it, clears every event: no window is scanned, and
+        # nothing the call allocated outlives it.
+        real = graph_module._EventWindow.scan
+        scanned = []
+
+        def counting(window, base):
+            scanned.append(base)
+            return real(window, base)
+
+        for seed in range(4):
+            G = sample_graph(128, 14, 61, seed)
+            G.hist  # cached on G: allocated before tracing
+            with patch.object(graph_module._EventWindow, "scan", counting):
+                tracemalloc.start()
+                try:
+                    verdict = verify_extractor(G, 8, Fraction(1, 4))
+                    kept = tracemalloc.get_traced_memory()[0]
+                finally:
+                    tracemalloc.stop()
+            assert verdict.ok and verdict.note == "checked all 2^14 right events"
+            assert scanned == []
+            assert kept < 2048
 
     @pytest.mark.parametrize("eps", [Fraction(1, 2**61), Fraction(2**61 - 1, 2**61)])
     def test_huge_denominator_compares_without_wraparound(self, eps):
