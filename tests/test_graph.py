@@ -250,6 +250,17 @@ class TestVerifyExtractor:
         # without left 0 nothing fails
         assert verify_extractor(BipartiteGraph(3, 12, 12, [list(range(12))] * 3), 1, eps)
 
+    def test_least_failure_when_two_branches_fail(self):
+        # Left 0 sends every edge to z = 8, left 1 every edge to z = 9, the
+        # rest one edge to each z.  At eps = 1/2 the events {8} and {9} both
+        # fail and nothing below 2^8 does: the subtree of bit 8 is searched
+        # before the subtree of bit 9.
+        G = BipartiteGraph(4, 10, 10, [[8] * 10, [9] * 10] + [list(range(10))] * 2)
+        eps = Fraction(1, 2)
+        assert scan_range_oracle(G, 1, eps, 1, 1 << 10)[0] == 1 << 8
+        assert scan_range_oracle(G, 1, eps, 1 << 9, 1 << 10)[0] == 1 << 9
+        assert verify_extractor(G, 1, eps).witness == ((8,), (0,))
+
     def test_bound_passes_degree_bound_graphs_without_a_window(self):
         # At the degree bound with eps = 1/4 the bound at the root, or at a
         # few nodes below it, clears every event: no window is scanned, and
