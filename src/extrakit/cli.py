@@ -11,6 +11,7 @@ that all verifier comparisons stay exact.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import re
 import sys
@@ -559,10 +560,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: building it
+    costs about 20 times what parsing one command line does."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -24,6 +24,7 @@ from extrakit import (
     trevisan_eval,
     verify_design,
 )
+from extrakit import cli
 from extrakit.cli import main, parse_eps, parse_formats
 from extrakit.dist import write_dist
 from extrakit.graph import BipartiteGraph, write_graph
@@ -535,6 +536,7 @@ def test_repeated_calls_in_one_process_print_the_same_bytes(capsys, tmp_path):
     code, out, err = run(capsys, "verify-graph", "--kind", "extractor", "--graph", path)
     assert code == 2 and out == "" and "required" in err
     assert run(capsys, *first) == want
+    assert cli._parser.cache_info().currsize == 1  # one parser served every call
 
 
 def test_python_m_extrakit_runs_the_cli(tmp_path):
