@@ -545,7 +545,11 @@ def _least_failing_event(G: BipartiteGraph, K: int, eps):
     ``f_x(B) <= ub_x = f_x(Bh) + sum of max(0, w[x, z]) over the undecided
     z``, read from one (M+1)-row prefix table; top-K is monotone, so when
     ``q*topK(ub) < K*D*p*M`` (in Python ints) no event below fails and the
-    subtree is skipped (branch and bound: Land and Doig 1960).
+    subtree is skipped (branch and bound: Land and Doig 1960).  A popped
+    node tests itself and its descendants along 0-branches in one
+    ``np.partition`` call: ub only shrinks down that chain, so the live
+    ones are a top run, and each pushes its 1-branch.  The window tables
+    are built at the first leaf, so a graph the bound clears scans none.
     """
     eps = as_fraction(eps)
     p, q = eps.numerator, eps.denominator
@@ -606,7 +610,8 @@ def verify_extractor(
     The events are searched by :func:`_least_failing_event`, a branch and
     bound over the event bits above the low 7, 0-branch first: a subtree
     is skipped when the top-K argument above, applied to an upper bound
-    on every left's count over its events, shows none of them fails.  The
+    on each left's ``M*E(x, B) - D*|B|`` over its events, shows that none
+    of them fails.  The
     leaves are windows of at most 128 consecutive bitmasks, scanned in
     blocks whose counts take at most 128*N int64s, in increasing bitmask
     order; the first failing row of the first failing block is the witness.
