@@ -478,18 +478,18 @@ class _EventWindow:
 
     __slots__ = ("H", "K", "D", "p", "q", "low", "table", "sizes", "exact", "size")
 
-    def __init__(self, G: BipartiteGraph, K: int, p: int, q: int):
-        H = G.hist
-        low = min(G.M, _LOW_BITS)
+    def __init__(self, H: np.ndarray, K: int, D: int, p: int, q: int):
+        N, M = H.shape
+        low = min(M, _LOW_BITS)
         # row r of the tables: counts and size of the event with low bits r
-        table = np.zeros((1 << low, G.N), dtype=np.int64)
+        table = np.zeros((1 << low, N), dtype=np.int64)
         sizes = np.zeros(1 << low, dtype=np.int64)
         for z in range(low):
             table[1 << z : 2 << z] = table[: 1 << z] + H[:, z]
             sizes[1 << z : 2 << z] = sizes[: 1 << z] + 1
-        self.H, self.K, self.D, self.p, self.q, self.low = H, K, G.D, p, q, low
+        self.H, self.K, self.D, self.p, self.q, self.low = H, K, D, p, q, low
         self.table, self.sizes = table, sizes
-        self.exact = K * G.D * G.M * (abs(p) + q) >= 1 << 63
+        self.exact = K * D * M * (abs(p) + q) >= 1 << 63
         self.size = _FIRST_BLOCK
 
     def scan(self, base: int):
@@ -553,8 +553,8 @@ def _least_failing_event(G: BipartiteGraph, K: int, eps):
     """
     eps = as_fraction(eps)
     p, q = eps.numerator, eps.denominator
-    N, M, D = G.N, G.M, G.D
-    w = np.array(G.hist.T, order="C")  # w[z, x] = M*hist[x, z] - D
+    N, M, D, H = G.N, G.M, G.D, G.hist
+    w = np.array(H.T, order="C")  # w[z, x] = M*hist[x, z] - D
     w *= M
     w -= D
     # bound[j] = sum of max(0, w[z]) over z < j
@@ -582,7 +582,7 @@ def _least_failing_event(G: BipartiteGraph, K: int, eps):
         stack.extend((z, base | 1 << z, ones[z - lo]) for z in range(level - 1, lo - 1, -1))
         if d == 0:
             if window is None:  # built at the first leaf only
-                window = _EventWindow(G, K, p, q)
+                window = _EventWindow(H, K, D, p, q)
             witness = window.scan(base)
             if witness is not None:
                 return witness
