@@ -76,6 +76,12 @@ error_bounds = st.fractions(Fraction(1, 64), Fraction(63, 64), max_denominator=6
 scan_cells = st.integers(1, 200)
 
 
+def force_side(events):
+    """Make :func:`worst_flat_distance` scan the right events (True) or the
+    left sets (False) whatever their cell counts."""
+    return patch.object(graph_module, "_events_cheaper", lambda N, M, K: events, create=True)
+
+
 def traced_peak(call):
     """``call()`` and the peak of its traced allocations, in bytes."""
     tracemalloc.start()
@@ -522,14 +528,17 @@ class TestWorstFlatDistance:
     def test_ties_across_batches_keep_first_maximum(self):
         # Left 9 copies left 0, so sets swapping 0 for 9 tie; the first in
         # lexicographic order must win, and on the constant graph every
-        # set ties.
-        rng = np.random.default_rng(31)
-        adj = rng.integers(0, 64, size=(10, 3))
-        adj[9] = adj[0]
-        G = BipartiteGraph(10, 64, 3, adj)
-        assert worst_flat_distance(G, 5) == worst_flat_oracle(G, 5)
-        A, val = worst_flat_distance(constant_graph(10, 64, 2), 5)
-        assert A == (0, 1, 2, 3, 4) and val == Fraction(63, 64)
+        # set ties.  The event side runs at M = 6 in blocks of 4 events.
+        for events, M in ((False, 64), (True, 6)):
+            rng = np.random.default_rng(31)
+            adj = rng.integers(0, M, size=(10, 3))
+            adj[9] = adj[0]
+            G = BipartiteGraph(10, M, 3, adj)
+            with force_side(events), patch.object(graph_module, "_SCAN_CELLS",
+                                                  40 if events else graph_module._SCAN_CELLS):
+                assert worst_flat_distance(G, 5) == worst_flat_oracle(G, 5)
+                A, val = worst_flat_distance(constant_graph(10, M, 2), 5)
+            assert A == (0, 1, 2, 3, 4) and val == Fraction(M - 1, M)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), cells=scan_cells)
@@ -553,8 +562,9 @@ class TestWorstFlatDistance:
             ties = [S for S in combinations(range(9), K)
                     if naive_flat_distance(rows, S, 4) == val]
             assert len(ties) > 1
-            with patch.object(graph_module, "_SCAN_CELLS", cells):
-                assert worst_flat_distance(G, K) == (ties[0], val) == worst_flat_oracle(G, K)
+            for events in (False, True):
+                with force_side(events), patch.object(graph_module, "_SCAN_CELLS", cells):
+                    assert worst_flat_distance(G, K) == (ties[0], val) == worst_flat_oracle(G, K)
 
     @pytest.mark.parametrize("D, dtype", [((1 << 14) - 1, np.int32), (1 << 14, np.int64),
                                           (1 << 15, np.int64)])
@@ -585,6 +595,32 @@ class TestWorstFlatDistance:
         (A, val), peak = traced_peak(lambda: worst_flat_distance(G, 8))
         assert val == Fraction(29, 128)
         assert peak < 1.25 * (1 << 20)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), events=st.booleans(), cells=scan_cells)
+    def test_each_side_matches_per_subset_oracle(self, data, events, cells):
+        # the left-set scan and the right-event scan, each forced, in blocks
+        # of 1 to 200 cells: value and lexicographically first witness
+        G = data.draw(graphs(max_N=10, max_M=6))
+        K = data.draw(source_sizes(G.N))
+        with force_side(events), patch.object(graph_module, "_SCAN_CELLS", cells):
+            assert worst_flat_distance(G, K) == worst_flat_oracle(G, K)
+
+    @pytest.mark.parametrize("cells", [1, 7, 1 << 15])
+    def test_event_side_edge_cases(self, cells):
+        rng = np.random.default_rng(47)
+        G = random_graph(rng, 7, 5, 3)
+        line = BipartiteGraph(6, 1, 2, np.zeros((6, 2), dtype=np.int64))
+        with force_side(True), patch.object(graph_module, "_SCAN_CELLS", cells):
+            # K = N: the one set is every left
+            assert worst_flat_distance(G, 7) == worst_flat_oracle(G, 7)
+            assert worst_flat_distance(G, 7)[0] == tuple(range(7))
+            # M = 1: every output is uniform, so every set ties at 0
+            assert worst_flat_distance(line, 4) == ((0, 1, 2, 3), Fraction(0))
+            # each left sends one edge to each right: every set ties at 0
+            assert worst_flat_distance(passthrough(2), 3) == ((0, 1, 2), Fraction(0))
+            # every edge on right 0: every set ties at 1 - 1/M
+            assert worst_flat_distance(constant_graph(8, 5, 3), 3) == ((0, 1, 2), Fraction(4, 5))
 
 
 class TestGraphFile:
