@@ -59,7 +59,10 @@ _LOW_BITS = 7
 #: Cells (rows times width) of each suffix table and each block of the
 #: left scans (:class:`_LexScan`): 256 KiB of uint64 words, 128 KiB of
 #: int32 counts, so a scan's peak stays under the right-event scan's.  A
-#: block holds at least one set whatever the width.
+#: block holds at least one set whatever the width.  The right-event side
+#: of :func:`worst_flat_distance` keeps its low-bit table and each block of
+#: 2^low events by N int64 counts within the same count (one event at
+#: least).
 _SCAN_CELLS = 1 << 15
 #: Cells per ``%`` template in :func:`write_graph`.
 _WRITE_CELLS = 1 << 16
@@ -455,6 +458,24 @@ def verify_disperser(
     return Verdict(True, note=f"checked all C({G.M},{L}) right sets")
 
 
+def _doubling_table(rows: np.ndarray, bits: int) -> np.ndarray:
+    """Row r: the sum of ``rows[z]`` over the set bits z of r, for r < 2^bits;
+    the rows for bit z are the rows below 2^z plus ``rows[z]``."""
+    table = np.zeros((1 << bits,) + rows.shape[1:], dtype=rows.dtype)
+    for z in range(bits):
+        table[1 << z : 2 << z] = table[: 1 << z] + rows[z]
+    return table
+
+
+def _event_weights(H: np.ndarray, D: int) -> np.ndarray:
+    """``w[z, x] = M*hist[x, z] - D``, z-major, so that ``f_x(B)`` is the
+    sum of the rows z in B."""
+    w = np.array(H.T, order="C")
+    w *= H.shape[1]
+    w -= D
+    return w
+
+
 class _EventWindow:
     """The exact test of :func:`verify_extractor` on windows of 2^low
     consecutive right-event bitmasks, low = min(M, 7): the leaves of
@@ -479,14 +500,11 @@ class _EventWindow:
     __slots__ = ("H", "K", "D", "p", "q", "low", "table", "sizes", "exact", "size")
 
     def __init__(self, H: np.ndarray, K: int, D: int, p: int, q: int):
-        N, M = H.shape
+        M = H.shape[1]
         low = min(M, _LOW_BITS)
         # row r of the tables: counts and size of the event with low bits r
-        table = np.zeros((1 << low, N), dtype=np.int64)
-        sizes = np.zeros(1 << low, dtype=np.int64)
-        for z in range(low):
-            table[1 << z : 2 << z] = table[: 1 << z] + H[:, z]
-            sizes[1 << z : 2 << z] = sizes[: 1 << z] + 1
+        table = _doubling_table(H.T, low)
+        sizes = _doubling_table(np.ones(low, dtype=np.int64), low)
         self.H, self.K, self.D, self.p, self.q, self.low = H, K, D, p, q, low
         self.table, self.sizes = table, sizes
         self.exact = K * D * M * (abs(p) + q) >= 1 << 63
@@ -554,9 +572,7 @@ def _least_failing_event(G: BipartiteGraph, K: int, eps):
     eps = as_fraction(eps)
     p, q = eps.numerator, eps.denominator
     N, M, D, H = G.N, G.M, G.D, G.hist
-    w = np.array(H.T, order="C")  # w[z, x] = M*hist[x, z] - D
-    w *= M
-    w -= D
+    w = _event_weights(H, D)
     # bound[j] = sum of max(0, w[z]) over z < j
     bound = np.zeros((M + 1, N), dtype=np.int64)
     np.cumsum(np.maximum(w, 0), axis=0, out=bound[1:])
@@ -659,6 +675,54 @@ def verify_prefix_extractor(
     return Verdict(True, note=f"all {spec.k + 1} prefixes pass")
 
 
+def _events_cheaper(N: int, M: int, K: int) -> bool:
+    """Whether the 2^M right events of N counts each take fewer cells than
+    the C(N, K) left sets of M sums each, compared in Python ints; 2^M is
+    formed only when its bit length leaves it a chance."""
+    sets = math.comb(N, K)
+    return M < sets.bit_length() + M.bit_length() and N << M < sets * M
+
+
+def _worst_flat_events(H: np.ndarray, K: int, D: int) -> tuple[tuple[int, ...], int]:
+    """The right-event side of :func:`worst_flat_distance`: ``(A, v)`` with
+    v the largest top-K sum of ``f(B)`` over the 2^M events B and A the
+    lexicographically least top-K set over the events that reach v.
+
+    The events come in blocks of 2^low consecutive bitmasks, low the
+    largest with 2^low*N within :data:`_SCAN_CELLS` (at least 0): row r of a
+    block is a :func:`_doubling_table` row over the low bits plus the
+    block's high bits, and one ``np.partition`` gives each row's K-th value
+    t and top-K sum.  In the rows that reach the best sum, the lex-least
+    top-K set is every x with ``f_x > t`` and the least-index x with
+    ``f_x = t`` until it holds K; of two K-sets the lex-lesser holds the
+    least index in which they differ, so as packed bit rows the least set
+    is the greatest, taken by ``np.lexsort`` in a block and by bytes across
+    blocks.
+    """
+    N, M = H.shape
+    w = _event_weights(H, D)
+    low = min(M, max(_SCAN_CELLS // N, 1).bit_length() - 1)
+    table = _doubling_table(w, low)
+    best, key = -1, b""
+    for base in range(0, 1 << M, 1 << low):
+        F = table + w[[z for z in range(low, M) if base >> z & 1]].sum(axis=0)
+        part = np.partition(F, N - K, axis=1)
+        top = part[:, N - K :].sum(axis=1)
+        peak = int(top.max())
+        if peak < best:
+            continue
+        rows = np.flatnonzero(top == peak)
+        Fr, t = F[rows], part[rows, N - K, None]
+        above, tied = Fr > t, Fr == t
+        room = K - above.sum(axis=1, keepdims=True)
+        packed = np.packbits(above | tied & (np.cumsum(tied, axis=1) <= room), axis=1)
+        least = packed[np.lexsort(packed.T[::-1])[-1]].tobytes()
+        if peak > best or least > key:
+            best, key = peak, least
+    A = np.flatnonzero(np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=N))
+    return tuple(A.tolist()), best
+
+
 def worst_flat_distance(
     G: BipartiteGraph,
     K: int,
@@ -673,15 +737,32 @@ def worst_flat_distance(
 
     The distance, cleared to integers, is ``sum_z |M*E_z - K*D|`` over the
     shared denominator ``2*M*K*D``, and ``M*E_z - K*D`` is the sum over
-    A's members x of ``M*hist[x, z] - D``.  Those rows are summed by
-    :class:`_LexScan`: a suffix table adds the rows of every s-set of the
-    last N-K+s lefts once, and each block adds a run of consecutive
-    prefixes to their tails of that table, at most ``_SCAN_CELLS // M``
-    sets.  Blocks come in lexicographic order and a block's ``argmax``
-    takes its first maximum, so a later block replaces the best only when
-    strictly greater.  Counts are int32 while ``M*K*D < 2^31`` (every
-    partial sum then fits) and int64 otherwise; the numerators are summed
-    in int64, and only the winner becomes a Fraction.
+    A's members x of ``w[x, z] = M*hist[x, z] - D``.  Its terms sum to 0,
+    so it is twice the sum of its positive terms.  The scan takes whichever
+    side has fewer cells: the 2^M right events, N counts each, when
+    ``2^M*N < C(N, K)*M`` (in Python ints), else the C(N, K) left sets, M
+    sums each.  Either way the budget refuses ``C(N, K) > max_subsets``
+    first, so the event side does less work than the budget allows.
+
+    *Left sets.*  Those rows are summed by :class:`_LexScan`: a suffix
+    table adds the rows of every s-set of the last N-K+s lefts once, and
+    each block adds a run of consecutive prefixes to their tails of that
+    table, at most ``_SCAN_CELLS // M`` sets.  Blocks come in
+    lexicographic order and a block's ``argmax`` takes its first maximum,
+    so a later block replaces the best only when strictly greater.  Counts
+    are int32 while ``M*K*D < 2^31`` (every partial sum then fits) and
+    int64 otherwise; the numerators are summed in int64, and only the
+    winner becomes a Fraction.
+
+    *Right events.*  With ``f_x(B)`` the sum of ``w[x, z]`` over z in B,
+    the sum of ``f_x(B)`` over x in A is ``M*E(A, B) - K*D*|B|``, and the
+    sum of A's positive terms is its largest value over B.  So the largest
+    numerator is twice ``v = max over B of topK(f(B))``, the top-K argument
+    of :func:`verify_extractor`.  A set A reaches it exactly when A is a
+    top-K set of ``f(B)`` for some B with ``topK(f(B)) = v``, so the
+    witness is the least, over those B, of B's lex-least top-K set (see
+    :func:`_worst_flat_events`).  Each ``|f_x(B)| <= M*D`` and a top-K sum
+    is at most ``K*M*D``, in int64 counts.
     """
     _check_flat_size(G, K)
     if math.comb(G.N, K) > max_subsets:
@@ -691,6 +772,9 @@ def worst_flat_distance(
             budget=max_subsets,
         )
     M, KD = G.M, K * G.D
+    if _events_cheaper(G.N, M, K):
+        A, v = _worst_flat_events(G.hist, K, G.D)
+        return A, Fraction(2 * v, 2 * M * KD)
     rows = G.hist.astype(np.int32 if M * KD < 1 << 31 else np.int64)
     rows *= M
     rows -= G.D

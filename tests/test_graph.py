@@ -606,6 +606,36 @@ class TestWorstFlatDistance:
         with force_side(events), patch.object(graph_module, "_SCAN_CELLS", cells):
             assert worst_flat_distance(G, K) == worst_flat_oracle(G, K)
 
+    @pytest.mark.parametrize("N, M, K, side", [
+        (18, 8, 9, "events"),  # 2^8*18 cells against C(18,9)*8
+        (16, 8, 4, "events"),
+        (9, 4, 2, "sets"),  # 2^4*9 = C(9,2)*4: a tie stays on the left
+        (16, 128, 8, "sets"),  # the 16x128 Toeplitz hash graph
+    ])
+    def test_side_choice_takes_fewer_cells(self, N, M, K, side):
+        if M == 128:
+            G = graph_of_function(hashext.hash_extractor_map(hashext.ToeplitzFamily(4, 2)))
+        else:
+            G = sample_graph(N, M, 8, 3)
+        seen = []
+        events, scan = graph_module._worst_flat_events, graph_module._LexScan
+
+        def events_spy(*args):
+            seen.append("events")
+            return events(*args)
+
+        def scan_spy(*args):
+            seen.append("sets")
+            return scan(*args)
+
+        with patch.object(graph_module, "_worst_flat_events", events_spy), \
+                patch.object(graph_module, "_LexScan", scan_spy):
+            got = worst_flat_distance(G, K)
+        assert seen == [side]
+        if M < 128:  # the other side agrees; the hash graph has 2^128 events
+            with force_side(side == "sets"):
+                assert worst_flat_distance(G, K) == got
+
     @pytest.mark.parametrize("cells", [1, 7, 1 << 15])
     def test_event_side_edge_cases(self, cells):
         rng = np.random.default_rng(47)
