@@ -755,8 +755,9 @@ def worst_flat_distance(
     winner becomes a Fraction.
 
     *Right events.*  With ``f_x(B)`` the sum of ``w[x, z]`` over z in B,
-    the sum of ``f_x(B)`` over x in A is ``M*E(A, B) - K*D*|B|``, and the
-    sum of A's positive terms is its largest value over B.  So the largest
+    the sum of ``f_x(B)`` over x in A is ``M*E(A, B) - K*D*|B|``; over all
+    B it is largest at the z with ``M*E_z - K*D > 0``, where it is the sum
+    of those positive terms.  So the largest
     numerator is twice ``v = max over B of topK(f(B))``, the top-K argument
     of :func:`verify_extractor`.  A set A reaches it exactly when A is a
     top-K set of ``f(B)`` for some B with ``topK(f(B)) = v``, so the
