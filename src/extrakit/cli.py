@@ -44,7 +44,9 @@ from .graph import (
 )
 from .hashext import ToeplitzFamily, hash_extractor_eval
 from .muchnik import (
+    RULES,
     EnumerableSet,
+    bad_left_bound,
     chain_graphs,
     code_set,
     compute_bad,
@@ -55,7 +57,7 @@ from .muchnik import (
 )
 from .randgraph import KINDS, ExistenceParams, degree_bound, existence_trial, sample_graph
 from .trevisan import trevisan_build, trevisan_eval
-from .compose import Merger, merger_compose
+from .compose import Merger, composition_blocks
 from .hashext import hash_extractor_map
 
 __all__ = ["main", "parse_formats", "parse_eps"]
@@ -86,9 +88,17 @@ def _strip_comments(path: str):
 
     The leading run of comment and blank lines (a subcommand's echo
     header) is skipped.  If the rest has no ``#`` and no blank line it is
-    returned whole, its line numbers ``range(skip + 1, lines + 1)``."""
-    with open(path, "r", encoding="ascii") as fp:
-        raw = fp.readlines()
+    returned whole, its line numbers ``range(skip + 1, lines + 1)``.  A
+    byte outside ASCII raises :class:`FormatError` naming its line."""
+    try:
+        with open(path, "r", encoding="ascii") as fp:
+            raw = fp.readlines()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fp:
+            data = fp.read()
+        at = re.search(rb"[\x80-\xff]", data).start()
+        raise FormatError(f"{path}: non-ASCII byte 0x{data[at]:02x}",
+                          line=len(data[: at + 1].splitlines())) from None
     skip = 0
     while skip < len(raw) and (not raw[skip].strip() or raw[skip].strip().startswith("#")):
         skip += 1
@@ -373,12 +383,10 @@ def _cmd_compose_demo(args) -> int:
     _echo(out, subcommand="compose-demo", n=n, l1=1, l2=2, d1=E1.d, d2=E2.d,
           m1=E1.m, m2=E2.m, merger_seed=M.d, source=a.to_text(),
           r1=r1.to_text(), r2=r2.to_text())
-    for i in range(1, n + 1):
-        q_i = E1(a.slice(i - 1, n).pad_to(n), r1)
-        z_i = E2(a.slice(0, i - 1).pad_to(n), q_i)
+    pairs = composition_blocks(E1, E2, a, r1)
+    for i, (q_i, z_i) in enumerate(pairs, start=1):
         out.write(f"i={i} q={q_i.to_text()} z={z_i.to_text()}\n")
-    result = merger_compose(E1, E2, M, a, r1, r2)
-    out.write(f"output={result.to_text()}\n")
+    out.write(f"output={M([z for _, z in pairs], r2).to_text()}\n")
     return 0
 
 
@@ -397,7 +405,7 @@ def _cmd_muchnik_demo(args) -> int:
     code = code_set(G, S, K, args.rule)
     bad_all = code.bad if args.rule == "all" else compute_bad(G, S, K, "all")
     bad_maj = code.bad if args.rule == "majority" else compute_bad(G, S, K, "majority")
-    bound_all, bound_maj = 2 * eps * K, 4 * eps * K
+    bound_all, bound_maj = (bad_left_bound(K, eps, rule) for rule in RULES)
     out.write(
         f"bad_right={len(bad_all.bad_right)}"
         f" bad_left_all={len(bad_all.bad_left)} bound_all={bound_all}"

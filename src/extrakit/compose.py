@@ -36,6 +36,7 @@ __all__ = [
     "Merger",
     "two_block_merger",
     "recursive_merger",
+    "composition_blocks",
     "merger_compose",
     "iterated_compose_dp",
     "merger_output_dist",
@@ -268,21 +269,13 @@ def recursive_merger(factory: Callable[[int], Merger], l: int, k: int) -> Merger
 # composition of an extractor pair through a merger
 
 
-def merger_compose(
-    E1: SeededFunction,
-    E2: SeededFunction,
-    M: Merger,
-    a: BitString,
-    r1: BitString,
-    r2: BitString,
-) -> BitString:
-    """Compose two extractors through a merger on one source word.
-
-    For each position i (1-based): q_i = E1 on the suffix a[i..n],
-    z_i = E2 on the prefix a[1..i-1] seeded with q_i; the merger combines
-    z_1..z_n with seed r2.  Short substrings are zero-padded on the
-    low-index side.
-    """
+def composition_blocks(
+    E1: SeededFunction, E2: SeededFunction, a: BitString, r1: BitString
+) -> list[tuple[BitString, BitString]]:
+    """The pairs ``(q_i, z_i)`` that :func:`merger_compose` merges, for
+    i = 1..n: q_i = E1 on the suffix a[i..n] seeded with r1, and z_i = E2
+    on the prefix a[1..i-1] seeded with q_i.  Short substrings are
+    zero-padded on the low-index side."""
     n = a.length
     if E1.n != n or E2.n != n:
         raise DimensionError(
@@ -292,16 +285,30 @@ def merger_compose(
         raise DimensionError(
             f"second extractor's seed is {E2.d} bits, first outputs {E1.m}"
         )
-    if M.arity != n or M.k != E2.m:
-        raise DimensionError(
-            f"merger {M!r} does not take {n} blocks of {E2.m} bits"
-        )
-    blocks = []
+    pairs = []
     for i in range(1, n + 1):
         q_i = E1(a.slice(i - 1, n).pad_to(n), r1)
-        z_i = E2(a.slice(0, i - 1).pad_to(n), q_i)
-        blocks.append(z_i)
-    return M(blocks, r2)
+        pairs.append((q_i, E2(a.slice(0, i - 1).pad_to(n), q_i)))
+    return pairs
+
+
+def merger_compose(
+    E1: SeededFunction,
+    E2: SeededFunction,
+    M: Merger,
+    a: BitString,
+    r1: BitString,
+    r2: BitString,
+) -> BitString:
+    """Compose two extractors through a merger on one source word: the
+    merger combines the blocks z_1..z_n of :func:`composition_blocks`
+    with seed r2."""
+    pairs = composition_blocks(E1, E2, a, r1)
+    if M.arity != a.length or M.k != E2.m:
+        raise DimensionError(
+            f"merger {M!r} does not take {a.length} blocks of {E2.m} bits"
+        )
+    return M([z for _, z in pairs], r2)
 
 
 def iterated_compose_dp(

@@ -11,6 +11,7 @@ enumeration is exhaustive, and budgets fail loudly instead of sampling.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, TextIO, Union
@@ -476,73 +477,56 @@ def _event_weights(H: np.ndarray, D: int) -> np.ndarray:
     return w
 
 
+def _top_sums(rows: np.ndarray, K: int) -> np.ndarray:
+    """The sum of each row's K largest entries, by one ``np.partition``."""
+    N = rows.shape[1]
+    if K < N:
+        return np.partition(rows, N - K, axis=1)[:, N - K :].sum(axis=1)
+    return rows.sum(axis=1)
+
+
 class _EventWindow:
-    """The exact test of :func:`verify_extractor` on windows of 2^low
-    consecutive right-event bitmasks, low = min(M, 7): the leaves of
-    :func:`_least_failing_event`.
+    """The event test of :func:`_least_failing_event`, ``topK(f(B)) >=
+    thr``, on windows of 2^low consecutive right-event bitmasks, low =
+    min(M, 7): the leaves of the branch and bound.
 
     A window's bitmasks share every bit above the low ``low``, and it is
     tested in blocks of consecutive bitmasks, 32 rows at first and
     doubling to a whole window; the size carries over from window to
-    window, so only the first window scanned is split.  The
-    block's int64 counts ``C[r, x] = E(x, B_r)``, i.e. ``bits @ hist.T`` for
-    its 0/1 event matrix ``bits``, are a slice of a table of ``hist`` column
-    sums over all 2^low low-bit patterns plus the column sum over the
-    shared high bits: integer adds only.  The exact test runs on every row
-    at once, first with K times the row's largest count, an upper bound on
-    its top-K sum; the rows that bound does not clear get their top-K sum
-    from ``np.partition`` and the exact test itself.  When
-    ``K*D*M*(|p|+q)`` reaches 2^63 the sides of that test could overflow
-    int64, so the scan compares Python ints instead.  The top-K lefts of a
-    failing event are ordered by ``(-count, index)``.
+    window, so only the first window scanned is split.  A block's rows
+    ``f(B_r)`` are a slice of the :func:`_doubling_table` of the weights
+    over the low bits plus ``f`` of the window's base: integer adds only.
+    K times a row's largest weight bounds its top-K sum, so only the rows
+    where that reaches ``thr`` get their top-K sum from ``np.partition``.
+    The top-K lefts of a failing event are the first K of ``argsort(-f(B))``,
+    stable: for a fixed B, the order of ``(-E(x, B), x)``.
     """
 
-    __slots__ = ("H", "K", "D", "p", "q", "low", "table", "sizes", "exact", "size")
+    __slots__ = ("K", "thr", "low", "table", "size")
 
-    def __init__(self, H: np.ndarray, K: int, D: int, p: int, q: int):
-        M = H.shape[1]
-        low = min(M, _LOW_BITS)
-        # row r of the tables: counts and size of the event with low bits r
-        table = _doubling_table(H.T, low)
-        sizes = _doubling_table(np.ones(low, dtype=np.int64), low)
-        self.H, self.K, self.D, self.p, self.q, self.low = H, K, D, p, q, low
-        self.table, self.sizes = table, sizes
-        self.exact = K * D * M * (abs(p) + q) >= 1 << 63
-        self.size = _FIRST_BLOCK
+    def __init__(self, w: np.ndarray, K: int, thr: int):
+        self.low = min(len(w), _LOW_BITS)
+        self.table = _doubling_table(w, self.low)
+        self.K, self.thr, self.size = K, thr, _FIRST_BLOCK
 
-    def scan(self, base: int):
+    def scan(self, base: int, f: np.ndarray):
         """Witness ``(B, A)`` of the least failing bitmask in the window
-        of ``base`` (a multiple of 2^low), or None; the empty event is
-        never tested."""
-        H, K, D, p, q, low = self.H, self.K, self.D, self.p, self.q, self.low
-        N, M = H.shape
+        of ``base`` (a multiple of 2^low) whose own sums are ``f``, or
+        None; the empty event is never tested."""
+        K, thr, low = self.K, self.thr, self.low
         start, hi = max(base, 1), base + (1 << low)
-        high = [z for z in range(low, M) if base >> z & 1]
-        counts = H[:, high].sum(axis=1)
         while start < hi:
             stop = min(start + self.size, hi)
-            C = self.table[start - base : stop - base] + counts
-            sB = self.sizes[start - base : stop - base] + len(high)
-            peak = C.max(axis=1, initial=0)
-            if self.exact:
-                sB, peak = sB.astype(object), peak.astype(object)
-            rhs = K * D * (sB * q + p * M)
-            # K*peak bounds the top-K sum: only rows it lets reach rhs can fail
-            rows = np.flatnonzero(np.asarray(K * peak * (M * q) >= rhs, dtype=bool))
+            F = self.table[start - base : stop - base] + f
+            rows = np.flatnonzero(K * F.max(axis=1) >= thr)
             if rows.size:
-                Cr = C[rows]
-                if K < N:
-                    top = np.partition(Cr, N - K, axis=1)[:, N - K :].sum(axis=1)
-                else:
-                    top = Cr.sum(axis=1)
-                if self.exact:
-                    top = top.astype(object)
-                fail = np.asarray(top * (M * q) >= rhs[rows], dtype=bool)
+                fail = _top_sums(F[rows], K) >= thr
                 if fail.any():
                     r = int(rows[fail.argmax()])
                     bmask = start + r
-                    order = np.argsort(-C[r], kind="stable")[:K]
-                    return tuple(z for z in range(M) if bmask >> z & 1), tuple(order.tolist())
+                    A = np.argsort(-F[r], kind="stable")[:K]
+                    return (tuple(z for z in range(bmask.bit_length()) if bmask >> z & 1),
+                            tuple(A.tolist()))
             start, self.size = stop, min(2 * self.size, 1 << low)
         return None
 
@@ -552,43 +536,38 @@ def _least_failing_event(G: BipartiteGraph, K: int, eps):
     [1, 2^M), or None if all pass: the scan behind :func:`verify_extractor`.
 
     With ``w[x, z] = M*hist[x, z] - D`` and ``f_x(B)`` the sum of
-    ``w[x, z]`` over z in B, the top-K sum of ``f(B)`` is
-    ``M*E(A, B) - K*D*|B|`` for the top-K set A, so with eps = p/q an event
-    fails iff ``q*topK(f(B)) >= K*D*p*M``.  The events form a binary tree
-    over the bits above the low ``low = min(M, 7)``, decided from the top
-    down, 0-branch first, on an explicit stack; its leaves are the windows
-    of 2^low bitmasks that :class:`_EventWindow` scans, and they come in
-    increasing bitmask order, so the first failure found is the least.  At
-    a node whose decided bits make the set Bh, every event below has
-    ``f_x(B) <= ub_x = f_x(Bh) + sum of max(0, w[x, z]) over the undecided
-    z``, read from one (M+1)-row prefix table; top-K is monotone, so when
-    ``q*topK(ub) < K*D*p*M`` (in Python ints) no event below fails and the
-    subtree is skipped (branch and bound: Land and Doig 1960).  A popped
-    node tests itself and its descendants along 0-branches in one
+    ``w[x, z]`` over z in B, an event fails iff ``topK(f(B)) >= thr``,
+    ``thr = ceil(K*D*M*eps)`` (see :func:`verify_extractor`), a Python int
+    of any size, which numpy compares exactly with int64 sums.  The events
+    form a binary tree over the bits above the low ``low = min(M, 7)``,
+    decided from the top down, 0-branch first, on an explicit stack; its
+    leaves are the windows of 2^low bitmasks that :class:`_EventWindow`
+    scans, and they come in increasing bitmask order, so the first failure
+    found is the least.  At a node whose decided bits make the set Bh,
+    every event below has ``f_x(B) <= ub_x = f_x(Bh) + sum of max(0,
+    w[x, z]) over the undecided z``, read from one (M+1)-row prefix table;
+    top-K is monotone, so when ``topK(ub) < thr`` no event below fails and
+    the subtree is skipped (branch and bound: Land and Doig 1960).  A
+    popped node tests itself and its descendants along 0-branches in one
     ``np.partition`` call: ub only shrinks down that chain, so the live
     ones are a top run, and each pushes its 1-branch.  The window tables
     are built at the first leaf, so a graph the bound clears scans none.
     """
-    eps = as_fraction(eps)
-    p, q = eps.numerator, eps.denominator
-    N, M, D, H = G.N, G.M, G.D, G.hist
-    w = _event_weights(H, D)
+    N, M = G.N, G.M
+    w = _event_weights(G.hist, G.D)
     # bound[j] = sum of max(0, w[z]) over z < j
     bound = np.zeros((M + 1, N), dtype=np.int64)
     np.cumsum(np.maximum(w, 0), axis=0, out=bound[1:])
-    need, low, window = K * D * p * M, min(M, _LOW_BITS), None
+    eps = as_fraction(eps)
+    thr = -(-K * G.D * M * eps.numerator // eps.denominator)  # ceil(K*D*M*eps)
+    low, window = min(M, _LOW_BITS), None
     # nodes (level, base, f(base)): bits level..M-1 of base are decided
     stack = [(M, 0, np.zeros(N, dtype=np.int64))]
     while stack:
         level, base, f = stack.pop()
-        # row j - low: ub at the node's descendant at level j by 0-branches
-        ub = f + bound[low : level + 1]
-        if K < N:
-            top = np.partition(ub, N - K, axis=1)[:, N - K :].sum(axis=1)
-        else:
-            top = ub.sum(axis=1)
+        # row j - low: ub at the node's descendant at level j by 0-branches;
         # ub grows with j, so the pruned rows are the first d
-        d = sum(q * t < need for t in top.tolist())
+        d = bisect_left(_top_sums(f + bound[low : level + 1], K).tolist(), thr)
         if d > level - low:
             continue
         # the live descendants at levels low + d..level push their 1-branches,
@@ -598,8 +577,8 @@ def _least_failing_event(G: BipartiteGraph, K: int, eps):
         stack.extend((z, base | 1 << z, ones[z - lo]) for z in range(level - 1, lo - 1, -1))
         if d == 0:
             if window is None:  # built at the first leaf only
-                window = _EventWindow(H, K, D, p, q)
-            witness = window.scan(base)
+                window = _EventWindow(w, K, thr)
+            witness = window.scan(base, f)
             if witness is not None:
                 return witness
     return None
@@ -617,20 +596,22 @@ def verify_extractor(
     edges into B satisfy  |E(A, B)| < K*D*(|B|/M + eps)  (strict).  Checking
     the top-K set suffices: among size-K left sets it maximizes |E(A, B)|,
     and flat sources of size K are the extreme points of the sources the
-    guarantee quantifies over.  The comparison is exact: with eps = p/q the
-    test is  |E|*M*q < K*D*(|B|*q + p*M)  over Python integers.
+    guarantee quantifies over.  The test runs on integer weights: with
+    ``w[x, z] = M*hist[x, z] - D`` and ``f_x(B)`` the sum of ``w[x, z]``
+    over z in B, the top-K sum of ``f(B)`` is ``M*|E(A, B)| - K*D*|B|``
+    for the top-K set A, so B fails iff  topK(f(B)) >= ceil(K*D*M*eps),
+    one integer threshold taken exactly from the rational eps.
 
     On failure the witness is ``(B, A)``: B the least failing subset in
     indicator-bitmask order, A the top-K lefts for that B (ties by index).
 
     The events are searched by :func:`_least_failing_event`, a branch and
     bound over the event bits above the low 7, 0-branch first: a subtree
-    is skipped when the top-K argument above, applied to an upper bound
-    on each left's ``M*E(x, B) - D*|B|`` over its events, shows that none
-    of them fails.  The
-    leaves are windows of at most 128 consecutive bitmasks, scanned in
-    blocks whose counts take at most 128*N int64s, in increasing bitmask
-    order; the first failing row of the first failing block is the witness.
+    is skipped when the top-K sum of an upper bound on each left's
+    ``f_x`` over its events is below the threshold.  The leaves are
+    windows of at most 128 consecutive bitmasks, scanned in blocks of at
+    most 128*N int64 weights, in increasing bitmask order; the first
+    failing row of the first failing block is the witness.
     """
     _check_flat_size(G, K)
     if 1 << G.M > max_subsets:

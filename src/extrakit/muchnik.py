@@ -39,6 +39,7 @@ __all__ = [
     "EnumerableSet",
     "BadSets",
     "compute_bad",
+    "bad_left_bound",
     "FortnowReport",
     "verify_fortnow",
     "encode",
@@ -144,6 +145,15 @@ def _bad_sets(S: EnumerableSet, rule: str, overloaded: np.ndarray, stuck: np.nda
     )
 
 
+def bad_left_bound(K: int, eps, rule: str) -> Fraction:
+    """The most bad lefts a set of size at most K can have under ``rule``
+    on a graph that passes the (K, eps) extractor check: 2*eps*K for
+    "all", 4*eps*K for "majority" (Buhrman, Fortnow and Laplante 2002)."""
+    if rule not in RULES:
+        raise DimensionError(f"rule {rule!r} not one of {RULES}")
+    return (2 if rule == "all" else 4) * as_fraction(eps) * K
+
+
 @dataclass(frozen=True)
 class FortnowReport:
     """Worst bad-left sizes over sampled sets, against the proven bounds."""
@@ -157,11 +167,11 @@ class FortnowReport:
 
     @property
     def bound_all(self) -> Fraction:
-        return 2 * self.eps * self.K
+        return bad_left_bound(self.K, self.eps, "all")
 
     @property
     def bound_majority(self) -> Fraction:
-        return 4 * self.eps * self.K
+        return bad_left_bound(self.K, self.eps, "majority")
 
     @property
     def ok(self) -> bool:
@@ -205,15 +215,15 @@ def verify_fortnow(
     batteries.extend(extra_sets)
     max_all = max_majority = 0
     violations = []
-    p, q = eps.numerator, eps.denominator
+    bound_all, bound_maj = (bad_left_bound(K, eps, rule) for rule in RULES)
     for idx, S in enumerate(batteries):
         n_all = len(compute_bad(G, S, K, "all").bad_left)
         n_maj = len(compute_bad(G, S, K, "majority").bad_left)
         max_all = max(max_all, n_all)
         max_majority = max(max_majority, n_maj)
-        if n_all * q > 2 * p * K:
+        if n_all > bound_all:
             violations.append((idx, "all", n_all))
-        if n_maj * q > 4 * p * K:
+        if n_maj > bound_maj:
             violations.append((idx, "majority", n_maj))
     return FortnowReport(
         K=K,

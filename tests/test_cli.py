@@ -509,6 +509,31 @@ def test_parse_formats_bits_and_dist(tmp_path):
         parse_formats(dpath, "matrix")
 
 
+@pytest.mark.parametrize("kind, body, line, argv", [
+    ("graph", b"2 2 1\n0\n\xc3\xa9\n", 3,
+     ("verify-graph", "--kind", "extractor", "--k", "1", "--eps", "1/4", "--graph")),
+    ("set", b"# members\r\n0 1\r\n2 \xe9\r\n", 3,
+     ("muchnik-demo", "--graph", "G", "--k", "2", "--eps", "1/4", "--set")),
+    ("bits", b"\xff3:a\n", 1, ("compose-demo", "--source-file")),
+    ("design", b"4 2 1\n0 1\n# \xe9\n", 3, None),
+    ("dist", b"1\n1/2\n1/2 \x80\n", 3, None),
+])
+def test_non_ascii_byte_is_a_format_error_naming_its_line(capsys, tmp_path, kind, body, line, argv):
+    # a comment or a later line holding the byte fails the same way
+    path = tmp_path / "f.txt"
+    path.write_bytes(body)
+    read = cli.read_vertex_set if kind == "set" else lambda p: parse_formats(p, kind)
+    with pytest.raises(FormatError) as err:
+        read(str(path))
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: {path}: non-ASCII byte 0x")
+    if argv is not None:
+        gpath = write_lines(tmp_path / "g.txt", MUCHNIK_GRAPH)
+        code, out, stderr = run(capsys, *(gpath if a == "G" else a for a in argv), str(path))
+        assert code == 2 and out == ""
+        assert stderr == f"error: {err.value}\n"
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

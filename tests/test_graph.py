@@ -307,6 +307,32 @@ class TestVerifyExtractor:
                     if eps > Fraction(1, 2):
                         assert verdict.ok
 
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_scan_matches_oracle_at_extreme_eps(self, data):
+        # eps = 0, negative, above 1, or with p or q at 2^62 and beyond:
+        # the threshold ceil(K*D*M*eps) may leave int64 on either side.
+        G = data.draw(graphs(max_N=8, max_M=9))
+        K = data.draw(source_sizes(G.N))
+        eps = data.draw(st.one_of(
+            st.sampled_from([Fraction(0), Fraction(2**70 + 1, 2**69), -Fraction(2**70 + 1, 2**69),
+                             Fraction(1, 2**62 + 1), Fraction(2**62 + 1, 2**63)]),
+            st.fractions(-2, Fraction(-1, 64), max_denominator=64),
+            st.fractions(Fraction(65, 64), 3, max_denominator=64),
+        ))
+        hit = scan_range_oracle(G, K, eps, 1, 1 << G.M)
+        verdict = verify_extractor(G, K, eps)
+        assert verdict.ok == (hit is None)
+        assert verdict.witness == (hit[1:] if hit else None)
+
+    def test_edgeless_graph_fails_at_every_eps(self):
+        # With D = 0, |E(A, B)| = 0 = K*D*(|B|/M + eps) for every B and eps,
+        # so the strict test fails at the first event, B = {0}.
+        G = BipartiteGraph(3, 4, 0, np.zeros((3, 0), dtype=np.int64))
+        for eps in (Fraction(1, 4), Fraction(-1, 3), Fraction(1, 2**62 + 1), Fraction(2**70 + 1, 2**69)):
+            assert verify_extractor(G, 2, eps).witness == ((0,), (0, 1))
+            assert scan_range_oracle(G, 2, eps, 1, 16)[1:] == ((0,), (0, 1))
+
 
 class TestVerifyDisperser:
     def test_passthrough_passes(self):
