@@ -274,9 +274,9 @@ class TestVerifyExtractor:
         real = graph_module._EventWindow.scan
         scanned = []
 
-        def counting(window, base):
+        def counting(window, base, f):
             scanned.append(base)
-            return real(window, base)
+            return real(window, base, f)
 
         for seed in range(4):
             G = sample_graph(128, 14, 61, seed)
