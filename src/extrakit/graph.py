@@ -75,6 +75,15 @@ class BipartiteGraph:
     ``adjacency[x]`` lists the right endpoints of x's edges in seed order;
     repeated entries are genuine multi-edges.  Edge counts ``E(A, B)``
     respect multiplicity, neighbor sets ``Γ(a)`` do not.
+
+    ``adjacency`` is a read-only (N, D) array stored in the narrowest
+    unsigned dtype that holds M - 1: uint8 for M <= 2^8, uint16 for
+    M <= 2^16, uint32 for M <= 2^32, and int64 beyond.  Arithmetic that
+    could pass that range (``hist``, the coding rows) widens to int64
+    first.  The input may be any integer array or nested sequence of N*D
+    integers; ragged rows, entries that are not integers and entries
+    outside [0, M) raise DimensionError, and integers past int64 raise
+    OverflowError.
     """
 
     __slots__ = ("N", "M", "D", "adjacency", "_hist")
@@ -82,17 +91,24 @@ class BipartiteGraph:
     def __init__(self, N: int, M: int, D: int, adjacency):
         if N < 0 or M <= 0 or D < 0:
             raise DimensionError(f"bad graph dimensions N={N}, M={M}, D={D}")
-        adj = np.asarray(adjacency, dtype=np.int64).reshape(N, D) if N else np.zeros(
-            (0, D), dtype=np.int64
-        )
-        if adj.size and (adj.min() < 0 or adj.max() >= M):
-            raise DimensionError(
-                f"adjacency entry outside [0, {M}): saw {int(adj.min())}..{int(adj.max())}"
-            )
+        adj = _integer_array(adjacency)
+        if adj.size != N * D:
+            raise DimensionError(f"adjacency holds {adj.size} entries, not N*D = {N * D}")
+        adj = adj.reshape(N, D)
+        if adj.size:
+            # One max pass: viewed as unsigned, a signed array's negative
+            # entries are the ones at or past 2^(bits - 1).
+            signed = adj.dtype.kind == "i"
+            hi = int((adj.view(adj.dtype.str.replace("i", "u")) if signed else adj).max())
+            if hi >= M or (signed and hi >> (8 * adj.dtype.itemsize - 1)):
+                lo, top = int(adj.min()), int(adj.max())
+                raise DimensionError(f"adjacency entry {lo if lo < 0 else top} outside [0, {M})")
+            if hi >= 1 << 63:  # a uint64 entry of a right part past 2^63
+                raise OverflowError(f"adjacency entry {hi} does not fit int64")
         self.N = N
         self.M = M
         self.D = D
-        self.adjacency = adj
+        self.adjacency = adj.astype(_index_dtype(M), copy=False)
         self.adjacency.setflags(write=False)
         self._hist = None
 
@@ -100,8 +116,10 @@ class BipartiteGraph:
     def hist(self) -> np.ndarray:
         """(N, M) matrix: hist[x, z] = number of edges from x to z.
 
-        One ``np.bincount`` over the cell indices ``x*M + z``; graphs with
-        more than :data:`MAX_HIST_CELLS` cells raise BudgetExceededError.
+        One ``np.bincount`` over the cell indices ``x*M + z``, formed in
+        the narrowest dtype that holds N*M - 1 so that a narrow adjacency
+        is added without widening; graphs with more than
+        :data:`MAX_HIST_CELLS` cells raise BudgetExceededError.
         """
         if self._hist is None:
             N, M = self.N, self.M
@@ -111,7 +129,7 @@ class BipartiteGraph:
                     requested=N * M,
                     budget=MAX_HIST_CELLS,
                 )
-            cells = np.arange(N, dtype=np.int64)[:, None] * M + self.adjacency
+            cells = np.arange(0, N * M, M, dtype=_index_dtype(N * M))[:, None] + self.adjacency
             h = np.bincount(cells.ravel(), minlength=N * M).reshape(N, M)
             h.setflags(write=False)
             self._hist = h
@@ -218,6 +236,34 @@ def function_of_graph(G: BipartiteGraph, name: str = "") -> SeededFunction:
         return BitString(m, int(adj[x.value, y.value]))
 
     return SeededFunction(n, d, m, fn, name=name or "graph-lookup")
+
+
+def _index_dtype(size: int) -> type:
+    """The narrowest unsigned dtype that holds 0 .. size - 1 (uint8,
+    uint16 or uint32), or int64 past 2^32."""
+    return (np.uint8 if size <= 1 << 8 else np.uint16 if size <= 1 << 16
+            else np.uint32 if size <= 1 << 32 else np.int64)
+
+
+def _integer_array(adjacency) -> np.ndarray:
+    """``adjacency`` as an integer ndarray: an integer ndarray as it is,
+    anything else through ``np.asarray``.  Ragged rows and entries that
+    are not integers raise DimensionError; Python ints past int64 raise
+    OverflowError."""
+    if isinstance(adjacency, np.ndarray) and adjacency.dtype.kind in "iu":
+        return adjacency
+    try:
+        adj = np.asarray(adjacency)
+    except ValueError:  # numpy refuses an inhomogeneous shape
+        raise DimensionError("adjacency rows differ in length") from None
+    if adj.dtype.kind in "iu":
+        return adj
+    # empty input comes as float64, and Python ints past int64 as an
+    # object array, or as a float64 one when they sit next to smaller ints
+    cells = np.asarray(adjacency, dtype=object).ravel()
+    if all(type(v) is int or isinstance(v, np.integer) for v in cells):
+        return np.asarray(cells, dtype=np.int64).reshape(adj.shape)
+    raise DimensionError(f"adjacency entries must be integers, not {adj.dtype}")
 
 
 def _exact_log2(v: int, label: str) -> int:

@@ -99,14 +99,15 @@ class BadSets:
 
 def _member_rows(G: BipartiteGraph, S: EnumerableSet) -> np.ndarray:
     """Adjacency rows of S's members in enumeration order, shape (|S|, D),
-    once every member is known to be a left vertex of G."""
+    once every member is known to be a left vertex of G; int64 whatever
+    the graph's storage, so the coding's indexing and compares cast once."""
     order = np.array(S.order, dtype=np.int64)
     outside = (order < 0) | (order >= G.N)
     if outside.any():
         raise DimensionError(
             f"vertex {order[outside.argmax()]} of the set is outside the left side [0, {G.N})"
         )
-    return G.adjacency[order]
+    return G.adjacency[order].astype(np.int64, copy=False)
 
 
 def compute_bad(G: BipartiteGraph, S: EnumerableSet, K: int, rule: str) -> BadSets:
@@ -426,17 +427,15 @@ class ChainResult:
 
 
 def chain_graphs(G: BipartiteGraph) -> list[BipartiteGraph]:
-    """The coarsening chain of ``G`` for :func:`iterative_chain`: level i
-    keeps ``adjacency >> i`` on ``ceil(M / 2^i)`` right vertices, halving
-    until a single right vertex remains."""
-    graphs = []
-    i = 0
-    while True:
-        Mi = ((G.M - 1) >> i) + 1
-        graphs.append(BipartiteGraph(G.N, Mi, G.D, G.adjacency >> i))
-        if Mi == 1:
-            return graphs
-        i += 1
+    """The coarsening chain of ``G`` for :func:`iterative_chain`: level 0
+    is ``G`` itself, and level i keeps ``adjacency >> i`` on
+    ``ceil(M / 2^i)`` right vertices, halving until a single right vertex
+    remains."""
+    graphs = [G]
+    while graphs[-1].M > 1:
+        i = len(graphs)
+        graphs.append(BipartiteGraph(G.N, ((G.M - 1) >> i) + 1, G.D, G.adjacency >> i))
+    return graphs
 
 
 def iterative_chain(

@@ -28,6 +28,19 @@ def adjacency_lists(G: BipartiteGraph) -> list[list[int]]:
     return [[int(z) for z in G.adjacency[x]] for x in range(G.N)]
 
 
+#: Right-part sizes on each side of the adjacency storage's dtype changes.
+STORAGE_BOUNDARY_SIZES = (1, 255, 256, 257, 65535, 65536, 65537, 1 << 32, (1 << 32) + 1)
+
+
+def adjacency_dtype_oracle(M: int) -> np.dtype:
+    """The narrowest of uint8, uint16 and uint32 whose range holds M - 1,
+    else int64: the storage rule of ``BipartiteGraph.adjacency``."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if M - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def flat_output_probs(rows: list[list[int]], A, M: int) -> list[Fraction]:
     """Output distribution of the flat source on A: counts over KD edges."""
     counts = [0] * M

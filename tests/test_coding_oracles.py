@@ -9,6 +9,9 @@ and level sizes (or its error).  The graphs are multigraphs whose right
 parts need not be powers of two, and the sets hold bad members.
 """
 
+from collections import Counter
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from extrakit import (
     BipartiteGraph,
     EnumerableSet,
+    chain_graphs,
     code_set,
     compute_bad,
     decode,
@@ -25,12 +29,12 @@ from extrakit import (
 )
 from extrakit.errors import DimensionError, FeasibilityError, NoGoodNeighborError
 
-from helpers import iterative_chain_oracle
+from helpers import STORAGE_BOUNDARY_SIZES, adjacency_dtype_oracle, iterative_chain_oracle
 
 
-def check_code_set(G, S, K, rule):
-    """Compare ``code_set`` with the per-vertex API; return how many
-    members are bad."""
+def check_code_set(G, S, K, rule, rights=None):
+    """Compare ``code_set`` with the per-vertex API, decoding at each of
+    ``rights`` (default: -1 through M); return how many members are bad."""
     code = code_set(G, S, K, rule)
     bad = compute_bad(G, S, K, rule)
     assert code.bad == bad
@@ -45,7 +49,7 @@ def check_code_set(G, S, K, rule):
             continue
         assert (X, j) == muchnik_encode(G, S, A, rule, K)
         assert rank == neighbor_rank(G, S, X, A)
-    for X in range(-1, G.M + 1):
+    for X in range(-1, G.M + 1) if rights is None else rights:
         for idx in range(-2, len(S) + 2):
             try:
                 want = decode(G, S, X, idx)
@@ -86,6 +90,40 @@ def test_code_set_matches_on_larger_sets_with_bad_members():
         for rule in seen_bad:
             seen_bad[rule] += check_code_set(G, S, len(S), rule)
     assert min(seen_bad.values()) > 0
+
+
+@pytest.mark.parametrize("M", [m for m in STORAGE_BOUNDARY_SIZES if m <= 65537])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_code_set_near_the_top_right_vertex(M, data):
+    # Entries at the top of [0, M), where a narrow dtype would wrap
+    # first.  The coding allocates (M,) loads, so the sizes past 2^16 + 1
+    # are left out.  K up to M/2 lets the threshold 2DK/M pass loads of a
+    # few edges, so members are coded as well as refused.
+    N, D = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 4))
+    entry = st.one_of(st.integers(max(0, M - 4), M - 1), st.integers(0, min(2, M - 1)))
+    rows = data.draw(st.lists(st.lists(entry, min_size=D, max_size=D), min_size=N, max_size=N))
+    G = BipartiteGraph(N, M, D, np.array(rows, dtype=np.int64).reshape(N, D))
+    S = EnumerableSet(tuple(data.draw(st.permutations(range(N)))[: data.draw(st.integers(0, N))]))
+    K = len(S) + data.draw(st.integers(0, M // 2))
+    for rule in ("all", "majority"):
+        code = code_set(G, S, K, rule)
+        # the bad rights and each coded member's X, from the Python rows
+        loads = Counter(z for a in S.order for z in rows[a])
+        bad_right = {z for z, load in loads.items() if load * M > 2 * D * K}
+        assert code.bad.bad_right == bad_right
+        for a, X in zip(S.order, code.X.tolist()):
+            good = [z for z in rows[a] if z not in bad_right]
+            stuck = not good if rule == "all" else 2 * (D - len(good)) >= D
+            assert X == (-1 if stuck else min(good))
+        near = sorted({-1, 0, M - 1, M} | set(loads))
+        check_code_set(G, S, K, rule, rights=near)
+    graphs = chain_graphs(G)
+    for i, Gi in enumerate(graphs):
+        assert Gi.adjacency.dtype == adjacency_dtype_oracle(Gi.M)
+        assert Gi.adjacency.tolist() == [[z >> i for z in row] for row in rows]
+    assert chain_outcome(lambda *a: astuple(iterative_chain(*a)), graphs, S, None) == \
+        chain_outcome(iterative_chain_oracle, graphs, S, None)
 
 
 def chain_outcome(chain, graphs, S, Ks):

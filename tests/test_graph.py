@@ -32,6 +32,8 @@ from extrakit.graph import read_graph, write_graph
 from extrakit.errors import BudgetExceededError, DimensionError, FormatError
 
 from helpers import (
+    STORAGE_BOUNDARY_SIZES,
+    adjacency_dtype_oracle,
     adjacency_lists,
     disperser_witness_oracle,
     hist_oracle,
@@ -113,6 +115,53 @@ class TestBipartiteGraph:
         G = BipartiteGraph(1, 2, 1, [[1]])
         with pytest.raises(ValueError):
             G.adjacency[0, 0] = 0
+
+    def test_rows_beyond_n_refused(self):
+        with pytest.raises(DimensionError, match="4 entries, not N\\*D = 0"):
+            BipartiteGraph(0, 4, 2, [[1, 2], [3, 3]])
+
+    def test_wrong_entry_count_refused(self):
+        with pytest.raises(DimensionError, match="3 entries, not N\\*D = 4"):
+            BipartiteGraph(2, 4, 2, [1, 2, 3])
+
+    def test_ragged_rows_refused(self):
+        with pytest.raises(DimensionError, match="rows differ in length"):
+            BipartiteGraph(2, 4, 2, [[1, 2], [3]])
+
+    def test_fractional_entry_refused(self):
+        with pytest.raises(DimensionError, match="must be integers, not float64"):
+            BipartiteGraph(1, 4, 2, [[1, 2.7]])
+
+    def test_string_entry_refused(self):
+        with pytest.raises(DimensionError, match="must be integers, not <U"):
+            BipartiteGraph(1, 4, 2, [[1, "2"]])
+
+    def test_huge_claimed_size_refused_before_allocating(self):
+        # N*D = 2^80 cells: refused on the entry count alone
+        _, peak = traced_peak(lambda: pytest.raises(
+            DimensionError, BipartiteGraph, 1 << 40, 4, 1 << 40, [[1, 2]]))
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, None])
+    @pytest.mark.parametrize("M", [1, 127, 128, 256, 1 << 16, 1 << 70])
+    def test_negative_entries_refused_in_any_signed_dtype(self, dtype, M):
+        for row in ([-1], [0, -128], [min(M, 127) - 1, -1]):
+            adj = [row] if dtype is None else np.array([row], dtype=dtype)
+            with pytest.raises(DimensionError, match=rf"^adjacency entry {min(row)} outside"):
+                BipartiteGraph(1, M, len(row), adj)
+
+    def test_entries_past_int64_overflow(self):
+        # in range for M = 2^64, but int64 storage cannot hold them
+        for adj in ([[1 << 63]], [[1 << 63, 1]], np.array([[1 << 63]], dtype=np.uint64)):
+            with pytest.raises(OverflowError):
+                BipartiteGraph(1, 1 << 64, len(adj[0]), adj)
+        G = BipartiteGraph(1, 1 << 64, 1, np.array([[(1 << 63) - 1]], dtype=np.uint64))
+        assert G.adjacency.dtype == np.int64 and G.adjacency.tolist() == [[(1 << 63) - 1]]
+
+    def test_flat_and_empty_inputs_accepted(self):
+        assert BipartiteGraph(2, 4, 2, [1, 2, 3, 0]).adjacency.tolist() == [[1, 2], [3, 0]]
+        assert BipartiteGraph(0, 4, 2, []).adjacency.shape == (0, 2)
+        assert BipartiteGraph(3, 4, 0, [[], [], []]).adjacency.shape == (3, 0)
 
 
 class TestGraphFunctionDuality:
@@ -703,6 +752,74 @@ class TestGraphFile:
     def test_bad_header(self):
         with pytest.raises(FormatError, match="line 1"):
             read_graph(io.StringIO("2 2\n"))
+
+
+def entries_near_top(M):
+    """Right endpoints at the top of [0, M), where a narrow dtype would
+    wrap first, mixed with a few at the bottom."""
+    return st.one_of(st.integers(max(0, M - 4), M - 1), st.integers(0, min(2, M - 1)))
+
+
+@st.composite
+def boundary_graphs(draw, M, max_N=5, max_D=4):
+    """``(G, rows)``: a graph built from an int64 array and its rows as
+    Python ints."""
+    N, D = draw(st.integers(0, max_N)), draw(st.integers(0, max_D))
+    row = st.lists(entries_near_top(M), min_size=D, max_size=D)
+    rows = draw(st.lists(row, min_size=N, max_size=N))
+    return BipartiteGraph(N, M, D, np.array(rows, dtype=np.int64).reshape(N, D)), rows
+
+
+class TestAdjacencyStorage:
+    @pytest.mark.parametrize("M", STORAGE_BOUNDARY_SIZES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_storage_prefix_and_file_round_trip(self, M, data):
+        G, rows = data.draw(boundary_graphs(M))
+        assert G.adjacency.dtype == adjacency_dtype_oracle(M)
+        assert G.adjacency.shape == (G.N, G.D) and not G.adjacency.flags.writeable
+        assert G.adjacency.tolist() == rows
+        assert BipartiteGraph(G.N, M, G.D, rows) == G
+        if G.N * M <= graph_module.MAX_HIST_CELLS:  # N*M crosses 2^8 and 2^16 here
+            assert G.hist.dtype == np.int64 and np.array_equal(G.hist, hist_oracle(G))
+        m = M.bit_length() - 1
+        if M == 1 << m:
+            for drop in range(m + 1):
+                P = prefix_graph(G, drop)
+                assert P.adjacency.dtype == adjacency_dtype_oracle(M >> drop)
+                assert P.adjacency.tolist() == [[z >> drop for z in row] for row in rows]
+        else:
+            with pytest.raises(DimensionError):
+                prefix_graph(G, 0)
+        buf = io.StringIO()
+        write_graph(G, buf)
+        text = f"{G.N} {M} {G.D}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+        assert buf.getvalue() == text
+        back = read_graph(io.StringIO(text))
+        assert back == G and back.adjacency.dtype == G.adjacency.dtype
+
+    @pytest.mark.parametrize("M", [m for m in STORAGE_BOUNDARY_SIZES if m <= 257])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_verifiers_near_the_top_right_vertex(self, M, data):
+        G, rows = data.draw(boundary_graphs(M, max_N=6))
+        assume(G.N > 0)
+        K = data.draw(source_sizes(G.N))
+        eps = data.draw(st.one_of(st.just(Fraction(0)), error_bounds))
+        # Dropping rights without edges from a failing event keeps it
+        # failing (same counts, smaller |B|), and an event without edges
+        # fails only if {0} does: so the least failing bitmask is 1 or a
+        # subset of the rights in use, and those few are checked in order.
+        used = sorted({z for row in rows for z in row})
+        masks = {1} | {sum(1 << z for z in sub)
+                       for r in range(1, len(used) + 1) for sub in combinations(used, r)}
+        hit = next((h for b in sorted(masks)
+                    if (h := scan_range_oracle(G, K, eps, b, b + 1))), None)
+        verdict = verify_extractor(G, K, eps, max_subsets=1 << M)
+        assert verdict.ok == (hit is None)
+        assert verdict.witness == (hit[1:] if hit else None)
+        if G.D:  # an edgeless graph's output distribution is undefined
+            assert worst_flat_distance(G, K) == worst_flat_oracle(G, K)
 
 
 class TestFlatSizeGuard:

@@ -31,6 +31,7 @@ from extrakit.errors import DimensionError
 from extrakit.hashext import hash_table
 
 from helpers import (
+    adjacency_dtype_oracle,
     collision_prob_oracle,
     flat_output_distance_oracle,
     hash_table_oracle,
@@ -83,7 +84,7 @@ def test_hash_extractor_graph_matches_pair_loop(fam):
     G = graph_of_function(E)
     assert (G.N, G.M, G.D) == (1 << fam.n, 1 << (fam.d + fam.l), fam.size)
     want = seeded_table_oracle(E, E.n, E.d, E.m, range(1 << fam.n))
-    assert G.adjacency.dtype == np.int64
+    assert G.adjacency.dtype == adjacency_dtype_oracle(G.M)
     assert np.array_equal(G.adjacency, want)
 
 

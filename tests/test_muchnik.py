@@ -20,6 +20,7 @@ from extrakit import (
     ExtractorSpec,
     FeasibilityError,
     NoGoodNeighborError,
+    chain_graphs,
     compute_bad,
     decode,
     encode_multi,
@@ -475,6 +476,16 @@ def test_chain_error_paths():
         iterative_chain([level0], S)  # nothing ever gets coded
     with pytest.raises(DimensionError):
         iterative_chain([level0], S, Ks=[4, 4])
+
+
+def test_chain_graphs_start_at_the_graph_itself():
+    G = BipartiteGraph(3, 6, 2, [[5, 0], [3, 4], [1, 2]])
+    graphs = chain_graphs(G)
+    assert graphs[0] is G
+    assert [Gi.M for Gi in graphs] == [6, 3, 2, 1]
+    assert [Gi.adjacency.tolist() for Gi in graphs[1:]] == [
+        [[2, 0], [1, 2], [0, 1]], [[1, 0], [0, 1], [0, 0]], [[0, 0], [0, 0], [0, 0]]]
+    assert chain_graphs(BipartiteGraph(1, 1, 1, [[0]])) == [BipartiteGraph(1, 1, 1, [[0]])]
 
 
 def test_chain_sizes_never_grow():

@@ -14,8 +14,11 @@ processes, and nothing in either tree is edited.
 For every end-to-end metric of ``BENCHMARK.json`` and each side the file
 records the median and quartiles, and how many pairs the change won
 (better in the metric's direction; ties count for neither side).  The
-same summary is given for the raw ``ops_per_s`` and the calibration
-``slowness`` of the ``# env`` line.  ``gain`` holds when the change won
+same summary is given for the raw ``ops_per_s`` of the ``# env`` line
+and for the median of its raw set-up times ``setup_raw_s`` (before
+``setup_s`` divides them by the calibration), so that a move of
+``setup_s`` can be told apart from drift of the calibration; the
+calibration ``slowness`` gets its spread.  ``gain`` holds when the change won
 at least nine tenths of the pairs and its median beats the parent's by
 more than the parent's interquartile range, and never on a workload
 where the change's runs failed more ops in all than the parent's;
@@ -41,7 +44,7 @@ SIDES = ("parent", "change")
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run on ``tree``: its metrics, raw
-    ``ops_per_s``, slowness and correctness."""
+    ``ops_per_s`` and set-up time, slowness and correctness."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -66,6 +69,7 @@ def parse_output(stdout: str, returncode: int, stderr: str = "") -> dict:
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "raw_ops_per_s": env["raw"]["ops_per_s"],
+        "setup_raw_s": statistics.median(env["setup_raw_s"]),
         "slowness": env["slowness"],
         "git_commit": env.get("git_commit"),
     }
@@ -117,10 +121,11 @@ def summarize(runs: list, spec: list) -> dict:
         metrics[name] = compare(*paired(lambda x: x["metrics"][name]), m["better"], m["bound"])
         metrics[name].update(unit=m["unit"], better=m["better"], bound=m["bound"])
     raw = compare(*paired(lambda x: x["raw_ops_per_s"]), "higher")
+    raw_setup = compare(*paired(lambda x: x["setup_raw_s"]), "lower")
     failed = {s: sum(x["failed"] for x in side[s]) for s in SIDES}
     if failed["change"] > failed["parent"]:
         # a gain does not count when more ops fail than at the parent
-        for verdict in (*metrics.values(), raw):
+        for verdict in (*metrics.values(), raw, raw_setup):
             verdict["gain"] = False
     return {
         "seeds": [r["seed"] for r in runs],
@@ -128,6 +133,7 @@ def summarize(runs: list, spec: list) -> dict:
         "failed_ops": failed,
         "metrics": metrics,
         "raw_ops_per_s": raw,
+        "setup_raw_s": raw_setup,
         "slowness": {s: spread([x["slowness"] for x in side[s]]) for s in SIDES},
         "commits": {s: sorted({x["git_commit"] for x in side[s]}, key=str) for s in SIDES},
         "runs": runs,

@@ -34,8 +34,10 @@ STUB = textwrap.dedent('''
     metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}
     metrics["ops_per_s"]["value"] = ops
     metrics["op_p50_ms"]["value"] = 5.0
+    # raw set-up times: 0.4 s on the parent, 0.3 s on the change
+    setup = [0.3, 0.2, 0.9] if side == "change" else [0.4, 0.5, 0.1]
     print("# env " + json.dumps({"raw": {"ops_per_s": ops / 2}, "slowness": 2.0,
-                                 "git_commit": side}))
+                                 "setup_raw_s": setup, "git_commit": side}))
     print(json.dumps({"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}))
 ''')
 
@@ -72,6 +74,10 @@ def test_pairs_alternate_and_summarise(tmp_path):
     p50 = wl["metrics"]["op_p50_ms"]
     assert (p50["change_wins"], p50["gain"], p50["within_bound"]) == (0, False, True)
     assert wl["raw_ops_per_s"]["parent"]["median"] == 55.5
+    setup = wl["setup_raw_s"]
+    assert (setup["parent"]["median"], setup["change"]["median"]) == (0.4, 0.3)
+    assert (setup["change_wins"], setup["gain"]) == (3, True)
+    assert [r["parent"]["setup_raw_s"] for r in wl["runs"]] == [0.4] * 3
     assert wl["slowness"]["change"]["median"] == 2.0
     assert wl["correct"] == {"parent": True, "change": True}
     assert wl["commits"] == {"parent": ["parent"], "change": ["change"]}
@@ -110,7 +116,7 @@ def test_no_gain_when_change_fails_more_ops():
     def run(ops):
         return {"correct": True, "attempted": 100, "failed": 0,
                 "metrics": {m["name"]: 1.0 for m in spec} | {"ops_per_s": ops},
-                "raw_ops_per_s": ops, "slowness": 1.0, "git_commit": None}
+                "raw_ops_per_s": ops, "setup_raw_s": 1.0, "slowness": 1.0, "git_commit": None}
 
     # the change doubles ops_per_s in every pair, but one of its runs
     # fails an op
@@ -131,6 +137,6 @@ def test_run_without_result_raises():
     with pytest.raises(RuntimeError, match="code 2"):
         bench_pairs.parse_output("", 2, "error: no extrakit sources")
     failed = bench_pairs.parse_output(
-        '# env {"raw": {"ops_per_s": 1}, "slowness": 1}\n'
+        '# env {"raw": {"ops_per_s": 1}, "slowness": 1, "setup_raw_s": [0.5]}\n'
         '{"correct": false, "attempted": 5, "failed": 1, "metrics": {}}\n', 1)
     assert (failed["correct"], failed["failed"]) == (False, 1)
