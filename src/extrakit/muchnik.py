@@ -107,7 +107,7 @@ def _member_rows(G: BipartiteGraph, S: EnumerableSet) -> np.ndarray:
         raise DimensionError(
             f"vertex {order[outside.argmax()]} of the set is outside the left side [0, {G.N})"
         )
-    return G.adjacency[order].astype(np.int64, copy=False)
+    return np.take(G.adjacency, order, axis=0).astype(np.int64, copy=False)
 
 
 def compute_bad(G: BipartiteGraph, S: EnumerableSet, K: int, rule: str) -> BadSets:
