@@ -79,10 +79,12 @@ class BipartiteGraph:
     ``adjacency`` is a read-only (N, D) array stored in the narrowest
     unsigned dtype that holds M - 1: uint8 for M <= 2^8, uint16 for
     M <= 2^16, uint32 for M <= 2^32, and int64 beyond.  Arithmetic that
-    could pass that range (``hist``, the coding rows) widens to int64
-    first.  The input may be any integer array or nested sequence of N*D
-    integers; ragged rows, entries that are not integers and entries
-    outside [0, M) raise DimensionError, and integers past int64 raise
+    could pass that range is done wider: ``hist`` forms its cells in a
+    dtype that holds N*M - 1, the coding its member rows in int64.
+
+    The input may be any integer array or nested sequence of N*D
+    integers.  Ragged rows, entries that are not integers and entries
+    outside [0, M) raise DimensionError; integers past int64 raise
     OverflowError.
     """
 
