@@ -86,29 +86,37 @@ _BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
 def _strip_comments(path: str):
     """File text minus comment/blank lines, with original line numbers kept.
 
-    The leading run of comment and blank lines (a subcommand's echo
-    header) is skipped.  If the rest has no ``#`` and no blank line it is
-    returned whole, its line numbers ``range(skip + 1, lines + 1)``.  A
-    byte outside ASCII raises :class:`FormatError` naming its line."""
+    The file is read once.  The leading run of comment and blank lines (a
+    subcommand's echo header) is skipped.  If the rest has no ``#`` and
+    no blank line it is returned whole, its line numbers ``range(skip +
+    1, lines + 1)``; otherwise its lines (split at ``\\n`` only, as a
+    text file's lines are) are filtered one by one.  A byte outside
+    ASCII raises :class:`FormatError` naming its line."""
     try:
         with open(path, "r", encoding="ascii") as fp:
-            raw = fp.readlines()
+            data = fp.read()
     except UnicodeDecodeError:
         with open(path, "rb") as fp:
             data = fp.read()
         at = re.search(rb"[\x80-\xff]", data).start()
         raise FormatError(f"{path}: non-ASCII byte 0x{data[at]:02x}",
                           line=len(data[: at + 1].splitlines())) from None
-    skip = 0
-    while skip < len(raw) and (not raw[skip].strip() or raw[skip].strip().startswith("#")):
+    start = skip = 0
+    while start < len(data):
+        stop = data.find("\n", start) + 1 or len(data)
+        s = data[start:stop].strip()
+        if s and not s.startswith("#"):
+            break
+        start = stop
         skip += 1
-    text = "".join(raw[skip:])
+    text = data[start:]
     ended = text if text.endswith("\n") else text + "\n"
-    if text and "#" not in text and not _BLANK_LINE.search("\n" + ended):
-        return io.StringIO(text), range(skip + 1, len(raw) + 1)
+    # text starts with a line that is neither blank nor a comment
+    if text and "#" not in text and not _BLANK_LINE.search(ended):
+        return io.StringIO(text), range(skip + 1, skip + ended.count("\n") + 1)
     kept = []
     numbers = []
-    for i, line in enumerate(raw[skip:], start=skip + 1):
+    for i, line in enumerate(io.StringIO(text).readlines(), start=skip + 1):
         s = line.strip()
         if not s or s.startswith("#"):
             continue

@@ -10,6 +10,7 @@ enumeration is exhaustive, and budgets fail loudly instead of sampling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -65,7 +66,7 @@ _LOW_BITS = 7
 #: 2^low events by N int64 counts within the same count (one event at
 #: least).
 _SCAN_CELLS = 1 << 15
-#: Cells per ``%`` template in :func:`write_graph`.
+#: Cells per block of :func:`write_graph`.
 _WRITE_CELLS = 1 << 16
 
 
@@ -435,6 +436,15 @@ class _LexScan:
         return tuple(self.tables[0].members(where + r) + out)
 
 
+def _count_text(n: int) -> str:
+    """``= n`` for a count Python prints in full, ``>= 2^b`` with
+    ``b = n.bit_length() - 1`` past its int-to-str digit limit."""
+    try:
+        return f"= {n}"
+    except ValueError:
+        return f">= 2^{n.bit_length() - 1}"
+
+
 def _check_flat_size(G: BipartiteGraph, K: int) -> None:
     """A flat left source has between 1 and N vertices."""
     if not 1 <= K <= G.N:
@@ -476,10 +486,11 @@ def verify_disperser(
     L = math.ceil(eps * G.M)
     if L > G.M:
         return Verdict(True, note=f"L={L} exceeds M={G.M}; condition vacuous")
-    if math.comb(G.M, L) > max_subsets:
+    sets = math.comb(G.M, L)
+    if sets > max_subsets:
         raise BudgetExceededError(
-            f"C({G.M},{L}) = {math.comb(G.M, L)} subsets exceed budget {max_subsets}",
-            requested=math.comb(G.M, L),
+            f"C({G.M},{L}) {_count_text(sets)} subsets exceed budget {max_subsets}",
+            requested=sets,
             budget=max_subsets,
         )
     W = -(-G.N // 64)
@@ -795,10 +806,13 @@ def worst_flat_distance(
     is at most ``K*M*D``, in int64 counts.
     """
     _check_flat_size(G, K)
-    if math.comb(G.N, K) > max_subsets:
+    if G.D == 0:
+        raise DimensionError("D=0: an edgeless graph induces no output distribution")
+    sets = math.comb(G.N, K)
+    if sets > max_subsets:
         raise BudgetExceededError(
-            f"C({G.N},{K}) = {math.comb(G.N, K)} subsets exceed budget {max_subsets}",
-            requested=math.comb(G.N, K),
+            f"C({G.N},{K}) {_count_text(sets)} subsets exceed budget {max_subsets}",
+            requested=sets,
             budget=max_subsets,
         )
     M, KD = G.M, K * G.D
@@ -822,18 +836,50 @@ def worst_flat_distance(
 # text format: line 1 `N M D`, then N lines of D space-separated indices
 
 
+def _decimal_cells(values: np.ndarray, width: int) -> np.ndarray:
+    """(len, width + 1) uint8 rows: each value's decimal digits right-aligned,
+    NUL in place of leading zeros, then a space; ``width`` passes of ``divmod``
+    on a uint64 copy."""
+    rest = values.astype(np.uint64)
+    cells = np.zeros((rest.size, width + 1), dtype=np.uint8)
+    cells[:, width] = ord(" ")
+    for k in range(width - 1, -1, -1):
+        shown = rest != 0  # a digit left of the units is shown iff the value reaches it
+        rest, digit = np.divmod(rest, np.uint64(10))
+        digit += ord("0")
+        cells[:, k] = digit if k == width - 1 else digit * shown
+    return cells
+
+
 def write_graph(G: BipartiteGraph, fp: TextIO) -> None:
     """Header ``N M D``, then row x's D right indices, space-separated.
 
-    Rows are printed ``_WRITE_CELLS`` cells at a time through one
-    ``%d`` template, so the temporaries stay bounded at any N.
+    The rows are printed ``_WRITE_CELLS`` cells at a time, so the
+    temporaries stay bounded at any N.  Each cell becomes a row of
+    :func:`_decimal_cells`, W = len(str(M - 1)) digits wide (at most the
+    width of the adjacency dtype's largest value) plus a separator, the
+    last separator of each graph row becomes a newline, and the NULs of
+    the leading zeros are deleted by one ``bytes.translate``.  When
+    ``M <= min(N*D, _WRITE_CELLS)`` the rows of ``arange(M)`` are built
+    once per call and a block's cells are gathered from them with
+    ``np.take``; otherwise each block converts its own cells, so no table
+    sized by M alone is built.
     """
     fp.write(f"{G.N} {G.M} {G.D}\n")
-    row = " ".join(["%d"] * G.D) + "\n"
     step = max(1, _WRITE_CELLS // max(G.D, 1))
+    if G.D == 0:
+        for lo in range(0, G.N, step):
+            fp.write("\n" * min(step, G.N - lo))
+        return
+    width = len(str(min(G.M - 1, int(np.iinfo(G.adjacency.dtype).max))))
+    table = None
+    if G.M <= min(G.N * G.D, _WRITE_CELLS):
+        table = _decimal_cells(np.arange(G.M), width)
     for lo in range(0, G.N, step):
-        block = G.adjacency[lo : lo + step]
-        fp.write(row * len(block) % tuple(block.ravel().tolist()))
+        block = G.adjacency[lo : lo + step].ravel()
+        cells = _decimal_cells(block, width) if table is None else np.take(table, block, axis=0)
+        cells.reshape(-1, G.D * (width + 1))[:, -1] = ord("\n")
+        fp.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def read_graph(fp: TextIO) -> BipartiteGraph:
@@ -842,11 +888,16 @@ def read_graph(fp: TextIO) -> BipartiteGraph:
 
     The N lines after the header are rows, whatever follows them is left
     in ``fp``, and each row holds D tokens that Python ``int`` accepts, in
-    ``[0, M)``.  A body of N lines of digits, spaces and newlines, D tokens
-    each, of at most 18 digits, is parsed in one numpy pass; any other
-    body, and any body that fails a check, goes through the per-line loop
-    :func:`_parse_rows`, which accepts the same texts and names the error.
-    Nothing of size N*D is allocated before the body holds N lines.
+    ``[0, M)``.  The rows are read with ``readline`` (at most N of them,
+    none for a negative N), so that ``fp.tell()`` still works afterwards.
+    A body of N lines of digits, spaces and newlines, D tokens each, of at
+    most 18 digits, is parsed by numpy byte operations
+    (:func:`_parse_body`): the runs of digits are found over the whole
+    text at once, and their values take one Horner pass per digit place.
+    Any other body, and any body that fails a check, goes through the
+    per-line loop :func:`_parse_rows`, which accepts the same texts and
+    names the error.  Nothing of size N*D is allocated before the body
+    holds N lines.
     """
     header = fp.readline()
     parts = header.split()
@@ -856,8 +907,7 @@ def read_graph(fp: TextIO) -> BipartiteGraph:
         N, M, D = (int(t) for t in parts)
     except ValueError:
         raise FormatError(f"non-integer in header {header!r}", line=1) from None
-    # readline, not iteration, so that a file's tell() still works afterwards
-    lines = [line for _, line in zip(range(N), iter(fp.readline, header[:0]))]
+    lines = list(itertools.islice(iter(fp.readline, header[:0]), max(N, 0)))
     adjacency = _parse_body(lines, N, M, D) if len(lines) == N else None
     if adjacency is None:
         adjacency = _parse_rows(lines, N, M, D)
@@ -892,12 +942,19 @@ def _parse_body(lines: list[str], N: int, M: int, D: int):
     width = int(widths.max())
     if width > 18:  # 10^18 - 1 is the widest run int64 always holds
         return None
+    # Horner from each token's width-th digit from its end, in place: `at`
+    # is ends - k, which wraps below 0 only where widths < k, and there
+    # the digit is masked to 0 (no mask at k = 1: every token has a digit)
+    at = ends - width
+    place = np.empty(starts.size, dtype=np.uint8)
     values = np.zeros(starts.size, dtype=np.int64)
-    for k in range(width, 0, -1):  # the k-th digit from each token's end
-        place = value[np.maximum(ends - k, 0)]
-        place[widths < k] = 0
+    for k in range(width, 0, -1):
+        np.take(value, at, out=place)
+        if k > 1:
+            place *= widths >= k
         values *= 10
         values += place
+        at += 1
     return values if int(values.max()) < M else None
 
 

@@ -7,6 +7,7 @@ disagreement rather than agreeing with itself.
 """
 
 import functools
+import io
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -548,6 +549,24 @@ def write_graph_oracle(G: BipartiteGraph, fp) -> None:
     fp.write(f"{G.N} {G.M} {G.D}\n")
     for x in range(G.N):
         fp.write(" ".join(str(int(z)) for z in G.adjacency[x]) + "\n")
+
+
+def strip_comments_oracle(path: str):
+    """``cli._strip_comments`` line by line: the file's lines as a text
+    file splits them (at ``\\n``, ``\\r\\n`` and ``\\r``), minus the blank
+    ones and those whose first non-blank character is ``#``, with their
+    line numbers; the first line holding a byte past ASCII is an error."""
+    with open(path, encoding="latin-1") as fp:
+        raw = fp.readlines()
+    kept, numbers = [], []
+    for lineno, line in enumerate(raw, start=1):
+        wide = [c for c in line if ord(c) > 127]
+        if wide:
+            raise FormatError(f"{path}: non-ASCII byte 0x{ord(wide[0]):02x}", line=lineno)
+        if line.strip() and not line.strip().startswith("#"):
+            kept.append(line)
+            numbers.append(lineno)
+    return io.StringIO("".join(kept)), numbers
 
 
 def read_graph_oracle(fp) -> BipartiteGraph:

@@ -122,6 +122,17 @@ def test_verify_budget_is_a_hard_error(capsys, tmp_path):
     assert code == 2 and "budget" in err
 
 
+def test_disperser_budget_past_the_int_to_str_limit_exits_2(capsys, tmp_path):
+    # C(65537, 16385) right sets: too many digits for str(), so the
+    # refusal names a power of two below the count
+    path = write_lines(tmp_path / "g.txt", "2 65537 1\n0\n1\n")
+    code, out, err = run(capsys, "verify-graph", "--kind", "disperser",
+                         "--graph", path, "--k", "1", "--eps", "1/4")
+    assert code == 2
+    assert out.startswith("# subcommand=verify-graph kind=disperser N=2 M=65537 D=1")
+    assert err == "error: C(65537,16385) >= 2^53161 subsets exceed budget 1048576\n"
+
+
 def test_eps_must_be_rational(capsys, tmp_path):
     path = graph_file(tmp_path, pass_through_graph(4, 4))
     code, _, _ = run(capsys, "verify-graph", "--kind", "extractor",

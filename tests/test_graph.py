@@ -1,7 +1,9 @@
 """Graph verifiers against first-principles oracles, plus formats."""
 
 import io
+import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -528,6 +530,17 @@ class TestVerifyDisperser:
         with pytest.raises(BudgetExceededError, match="C\\(8,4\\) = 70 subsets") as exc:
             verify_disperser(constant_graph(4, 8, 2), 2, Fraction(1, 2), max_subsets=69)
         assert (exc.value.requested, exc.value.budget) == (70, 69)
+        assert str(exc.value) == "C(8,4) = 70 subsets exceed budget 69"
+
+    def test_budget_refusal_past_the_int_to_str_limit(self):
+        # C(65537, 16385) has about 16000 decimal digits, past Python's
+        # int-to-str limit: the message gives a power of two below it
+        with pytest.raises(BudgetExceededError) as exc:
+            verify_disperser(BipartiteGraph(2, 65537, 1, [[0], [1]]), 1, Fraction(1, 4))
+        sets = math.comb(65537, 16385)
+        assert (exc.value.requested, exc.value.budget) == (sets, 1 << 20)
+        assert str(exc.value) == (
+            f"C(65537,16385) >= 2^{sets.bit_length() - 1} subsets exceed budget 1048576")
 
 
 class TestVerifyPrefix:
@@ -592,6 +605,36 @@ class TestWorstFlatDistance:
         with pytest.raises(BudgetExceededError) as exc:
             worst_flat_distance(constant_graph(16, 2, 1), 8, max_subsets=100)
         assert (exc.value.requested, exc.value.budget) == (12870, 100)
+        assert str(exc.value) == "C(16,8) = 12870 subsets exceed budget 100"
+
+    def test_budget_refusal_past_the_int_to_str_limit(self):
+        # C(20000, 10000) has 6019 decimal digits
+        with pytest.raises(BudgetExceededError) as exc:
+            worst_flat_distance(constant_graph(20000, 2, 1), 10000)
+        sets = math.comb(20000, 10000)
+        assert (exc.value.requested, exc.value.budget) == (sets, 1 << 20)
+        assert str(exc.value) == (
+            f"C(20000,10000) >= 2^{sets.bit_length() - 1} subsets exceed budget 1048576")
+
+    def test_count_text_at_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        if limit:  # 0 lifts the limit
+            assert graph_module._count_text(10 ** (limit - 1)) == f"= {10 ** (limit - 1)}"
+            big = 10**limit
+            assert graph_module._count_text(big) == f">= 2^{big.bit_length() - 1}"
+            assert 2 ** (big.bit_length() - 1) <= big < 2 ** big.bit_length()
+        assert graph_module._count_text(0) == "= 0"
+
+    @pytest.mark.parametrize("N, K", [(2, 1), (40, 20)])
+    def test_edgeless_graph_is_a_dimension_error(self, N, K):
+        # no edges, no output distribution: refused before the budget (C(40,20)
+        # exceeds it), any scan or hist
+        G = BipartiteGraph(N, 4, 0, np.zeros((N, 0), dtype=np.int64))
+        with patch.object(graph_module, "_LexScan", side_effect=AssertionError), \
+                patch.object(graph_module, "_worst_flat_events", side_effect=AssertionError), \
+                pytest.raises(DimensionError, match="D=0"):
+            worst_flat_distance(G, K)
+        assert G._hist is None
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())

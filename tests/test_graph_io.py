@@ -1,10 +1,13 @@
 """Graph files against the per-line oracles.
 
-``write_graph`` must print the oracle's bytes.  ``read_graph`` must give
+``write_graph`` must print the oracle's bytes, on both of its paths (a
+digit table of ``arange(M)`` gathered per block, or each block's own
+cells converted) and at every width edge of M - 1.  ``read_graph`` must give
 the oracle's graph for every text the oracle accepts, and the oracle's
 error (same class, same text, same line) for every text it rejects:
 read directly from a string, and through ``parse_formats`` from a file
-with comment and blank lines.  The texts are valid graph files with
+with comment and blank lines, whose stripping is checked against a
+per-line oracle too.  The texts are valid graph files with
 mutations applied: wrong token counts, signed, underscored, hex, unicode
 and over-long tokens, tabs and other whitespace, ``\\r\\n`` and lone
 ``\\r`` line ends, blank rows, truncation, out-of-range entries, lines
@@ -12,14 +15,16 @@ after row N, and headers with N or D set to 0.  The oracles are the
 per-line bodies in ``helpers.py``.
 """
 
+import hashlib
 import io
 import os
 import tempfile
 import tracemalloc
 from unittest.mock import patch
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import extrakit.cli as cli
 import extrakit.graph as graph_module
@@ -28,7 +33,7 @@ from extrakit.cli import parse_formats
 from extrakit.errors import ExtrakitError, FormatError
 from extrakit.graph import read_graph, write_graph
 
-from helpers import read_graph_oracle, write_graph_oracle
+from helpers import read_graph_oracle, strip_comments_oracle, write_graph_oracle
 
 # right-part sizes: small ones, and ones whose entries need 18, 19 or
 # more digits or do not fit int64
@@ -136,6 +141,7 @@ def test_write_then_read_is_byte_identical_to_the_oracle(N, M, D, data):
 
 @settings(max_examples=600, deadline=None)
 @given(text=mutated_texts())
+@example(text="-1 1 0\n\n")  # a negative N reads no rows (islice refuses a negative count)
 def test_read_graph_matches_the_oracle_on_mutated_texts(text):
     assert outcome(read_graph, io.StringIO(text)) == outcome(read_graph_oracle, io.StringIO(text))
 
@@ -148,23 +154,33 @@ def test_read_graph_matches_the_oracle_on_valid_texts(text):
     assert got == outcome(read_graph_oracle, io.StringIO(text))
 
 
+COMMENTS = ["# comment\n", "\n", "  # x=1\n", "\t\n"]
+
+
 @settings(max_examples=200, deadline=None)
-@given(text=mutated_texts(), data=st.data())
-def test_parse_formats_matches_the_oracle_with_comment_lines(text, data):
+@given(text=mutated_texts(),
+       inserts=st.lists(st.tuples(st.integers(0, 1 << 16), st.sampled_from(COMMENTS)), max_size=3))
+# \x0b, \x0c and \x1c end a line for str.splitlines but not in a text file:
+# rows holding one before a later error, a comment holding one before a
+# row's tokens, and a comment holding one before a header's numbers
+@example(text="2 3 2\n# c\n0\x0b1\n2 x\n", inserts=[])
+@example(text="2 3 2\n\n0\x0c2\n0 9\n", inserts=[])
+@example(text="2 3 2\n# c\x1c0 1\n0 1\n2 2\n", inserts=[])
+@example(text="# c\x0c2 3 1\n1 3 1\n\x0c\n# c\n2\n", inserts=[])
+def test_parse_formats_matches_the_oracle_with_comment_lines(text, inserts):
     lines = text.splitlines(keepends=True)
-    for _ in range(data.draw(st.integers(0, 3))):
-        at = data.draw(st.integers(0, len(lines)))
-        lines.insert(at, data.draw(st.sampled_from(["# comment\n", "\n", "  # x=1\n", "\t\n"])))
+    for at, comment in inserts:
+        lines.insert(at % (len(lines) + 1), comment)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.txt")
         with open(path, "w", encoding="utf-8", newline="") as fp:
             fp.write("".join(lines))
 
-        def read(reader):
-            with patch.object(cli, "read_graph", reader):
+        def read(strip, reader):
+            with patch.object(cli, "_strip_comments", strip), patch.object(cli, "read_graph", reader):
                 return outcome(lambda _: parse_formats(path, "graph"), None)
 
-        assert read(read_graph) == read(read_graph_oracle)
+        assert read(cli._strip_comments, read_graph) == read(strip_comments_oracle, read_graph_oracle)
 
 
 def test_read_graph_leaves_lines_after_row_n_in_the_stream(tmp_path):
@@ -205,3 +221,104 @@ def test_huge_header_fails_before_allocating(text, message):
         tracemalloc.stop()
     assert str(err.value) == message
     assert peak < 1 << 20
+
+
+def written(G, cells=None):
+    """``write_graph``'s text, and the sizes of the value arrays it
+    converted to digits (one ``arange(M)`` table, or one per block)."""
+    sizes = []
+    convert = graph_module._decimal_cells
+
+    def spy(values, width):
+        sizes.append(values.size)
+        return convert(values, width)
+
+    out = io.StringIO()
+    with patch.object(graph_module, "_decimal_cells", spy), \
+            patch.object(graph_module, "_WRITE_CELLS", cells or graph_module._WRITE_CELLS):
+        write_graph(G, out)
+    return out.getvalue(), sizes
+
+
+def oracle_text(G):
+    out = io.StringIO()
+    write_graph_oracle(G, out)
+    return out.getvalue()
+
+
+def spread_graph(N, M, D, seed=0):
+    """Entries at 0, at M - 1 and at the powers of ten below M, the rest random."""
+    rng = np.random.default_rng(seed)
+    special = [0, M - 1] + [10**k for k in range(len(str(M - 1))) if 10**k < M]
+    flat = [special[i] if i < len(special) else int(rng.integers(0, min(M, 1 << 63)))
+            for i in range(N * D)]
+    rng.shuffle(flat)
+    return BipartiteGraph(N, M, D, [flat[x * D : (x + 1) * D] for x in range(N)])
+
+
+@pytest.mark.parametrize("N, D, M, cells", [
+    (4096, 16, 1 << 16, None),  # M = _WRITE_CELLS = N*D: the table
+    (4096, 16, (1 << 16) + 1, None),  # one past both: per block
+    (4097, 16, (1 << 16) + 1, None),  # past _WRITE_CELLS only: per block
+    (5, 3, 14, None), (5, 3, 15, None), (5, 3, 16, None),  # M = N*D - 1, N*D, N*D + 1
+    (5, 3, 7, 7), (5, 3, 8, 7),  # M = _WRITE_CELLS and one past it, blocks of 2 rows
+    (5, 3, 14, 1), (5, 3, 2, 1),  # one cell per block: every M takes the block path
+    (6, 4, 24, 10), (6, 4, 25, 100),  # blocks of 2 rows; M = N*D and one past it
+])
+def test_writer_paths_at_their_boundaries(N, D, M, cells):
+    G = spread_graph(N, M, D)
+    text, sizes = written(G, cells)
+    assert text == oracle_text(G)
+    limit = cells or graph_module._WRITE_CELLS
+    step = max(1, limit // D)
+    if M <= min(N * D, limit):
+        assert sizes == [M]
+    else:
+        assert sizes == [min(step, N - lo) * D for lo in range(0, N, step)]
+
+
+@pytest.mark.parametrize("top", [9, 10, 99, 100, 255, 256, 999, 1000, 65535, 65536, 10**9,
+                                 10**12, 10**17, 10**18 - 1, 10**18, 2**63 - 1])
+@pytest.mark.parametrize("cells", [None, 3])
+def test_writer_at_each_digit_width_edge(top, cells):
+    # M - 1 = top: the last value one digit wider than the one below it
+    for N, D in [(3, 4), (40, 2)]:
+        G = spread_graph(N, top + 1, D, seed=top % 1000)
+        assert written(G, cells)[0] == oracle_text(G)
+        assert read_graph(io.StringIO(oracle_text(G))) == G
+
+
+@pytest.mark.parametrize("N, D", [(0, 0), (0, 3), (3, 0), (70000, 0)])
+@pytest.mark.parametrize("M", [1, 10, 2**63, 10**25])
+def test_writer_on_empty_graphs(N, D, M):
+    G = BipartiteGraph(N, M, D, np.zeros((N, D), dtype=np.int64))
+    text, sizes = written(G)
+    assert text == oracle_text(G) == f"{N} {M} {D}\n" + "\n" * N
+    assert sizes == []
+
+
+def test_writer_builds_no_table_sized_by_M():
+    # M = 2^40 and N*D = 2^18: an arange(M) table would be 2^40 rows
+    N, D, M = 1 << 14, 16, 1 << 40
+    rng = np.random.default_rng(5)
+    G = BipartiteGraph(N, M, D, rng.integers(0, M, size=(N, D)))
+
+    class Sink:
+        """Keeps a digest of what is written, not the text."""
+
+        def __init__(self):
+            self.digest = hashlib.sha256()
+
+        def write(self, text):
+            self.digest.update(text.encode())
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        write_graph(G, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.digest.hexdigest() == hashlib.sha256(oracle_text(G).encode()).hexdigest()
+    # one block of 2^16 cells: its uint64 copy, digit rows and text
+    assert peak < 8 << 20
