@@ -622,7 +622,6 @@ class TestWorstFlatDistance:
             assert graph_module._count_text(10 ** (limit - 1)) == f"= {10 ** (limit - 1)}"
             big = 10**limit
             assert graph_module._count_text(big) == f">= 2^{big.bit_length() - 1}"
-            assert 2 ** (big.bit_length() - 1) <= big < 2 ** big.bit_length()
         assert graph_module._count_text(0) == "= 0"
 
     @pytest.mark.parametrize("N, K", [(2, 1), (40, 20)])
